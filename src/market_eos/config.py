@@ -9,9 +9,11 @@ flag soup. Documents are validated against the packaged JSON schema
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 import jsonschema
 
@@ -123,15 +125,37 @@ def parse_config(document: dict, source_path: Path | None = None) -> ConfigDocum
     )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is outside the finite double range")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_config(path: str | Path) -> ConfigDocument:
-    """Read, validate and build a config file."""
+    """Read, validate and build a config file.
+
+    Numbers must be finite doubles: ``Infinity``, ``-Infinity``, ``NaN``
+    and literals that overflow a double are rejected as invalid JSON.
+    """
     path = Path(path)
     try:
         text = path.read_text("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(
+            text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_reject_constant
+        )
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(document, source_path=path)

@@ -4,19 +4,19 @@ Two markets are in price equilibrium when their clearing prices agree.
 Floating-point equality within a tolerance is not transitive, so the
 relation is built on quantized prices instead: each clearing price is
 snapped to a fixed grid (round-half-to-even on price/quantum) and the
-resulting integers are compared exactly. Transitivity then holds by
-construction, and the quantized price is a rankable market property.
+resulting integer ticks are compared exactly. Equality of ints is an
+equivalence, so grouping the markets by tick partitions a registry into
+its equivalence classes, and the classes in tick order are the ranking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .equilibrium import MarketSpec, clearing_price_analytic
-from .errors import InvariantError
+from .errors import BracketingError, DomainError, InvariantError
 
 DEFAULT_QUANTUM = 1e-9
 
@@ -38,8 +38,8 @@ class MarketRegistry:
     assumptions: tuple[str, ...] = MODELING_ASSUMPTIONS
 
     def __post_init__(self) -> None:
-        if not self.quantum > 0:
-            raise InvariantError(f"quantum must be positive, got {self.quantum}")
+        if not (self.quantum > 0 and math.isfinite(self.quantum)):
+            raise InvariantError(f"quantum must be positive and finite, got {self.quantum}")
         object.__setattr__(self, "entries", dict(self.entries))
         object.__setattr__(self, "goods", dict(self.goods))
 
@@ -62,7 +62,11 @@ class EquilibriumVerdict:
 
 @dataclass(frozen=True)
 class LawReport:
-    """Exhaustive reflexivity/symmetry/transitivity verification."""
+    """Equivalence classes of a registry and the laws the relation obeys.
+
+    ``classes`` holds one ``(quantized price, sorted member names)`` entry
+    per distinct tick, in tick order.
+    """
 
     reflexive: bool
     symmetric: bool
@@ -75,24 +79,41 @@ class LawReport:
         return self.reflexive and self.symmetric and self.transitive
 
 
-def _clearing_price(registry: MarketRegistry, name: str) -> float:
+def quantize(price: float, quantum: float) -> int:
+    """Integer tick of ``price`` on the ``quantum`` grid, half-to-even.
+
+    Raises ``DomainError`` when ``price / quantum`` is not finite, since
+    no tick represents it.
+    """
+    scaled = price / quantum
+    if not math.isfinite(scaled):
+        raise DomainError(f"price/quantum is not finite: {price!r}/{quantum!r}")
+    return round(scaled)
+
+
+def _tick(registry: MarketRegistry, name: str) -> int:
+    """Quantized clearing price of one market; errors name the market."""
+    market = registry.market(name)
     try:
-        return clearing_price_analytic(registry.market(name)).clearing_price
-    except KeyError:
-        raise
-    except Exception as exc:
+        return quantize(clearing_price_analytic(market).clearing_price, registry.quantum)
+    except (BracketingError, DomainError, InvariantError) as exc:
         raise type(exc)(f"market {name!r}: {exc}") from exc
 
 
-def quantize(price: float, quantum: float) -> int:
-    """Integer tick of ``price`` on the ``quantum`` grid, half-to-even."""
-    return round(price / quantum)
+def _classes(registry: MarketRegistry) -> tuple[tuple[float, tuple[str, ...]], ...]:
+    """Markets grouped by tick, one solve per market, in tick order."""
+    by_tick: dict[int, list[str]] = {}
+    for name in registry.entries:
+        by_tick.setdefault(_tick(registry, name), []).append(name)
+    return tuple(
+        (tick * registry.quantum, tuple(sorted(members)))
+        for tick, members in sorted(by_tick.items())
+    )
 
 
 def in_price_equilibrium(registry: MarketRegistry, a: str, b: str) -> EquilibriumVerdict:
     """Whether markets ``a`` and ``b`` clear at the same quantized price."""
-    tick_a = quantize(_clearing_price(registry, a), registry.quantum)
-    tick_b = quantize(_clearing_price(registry, b), registry.quantum)
+    tick_a, tick_b = _tick(registry, a), _tick(registry, b)
     goods_a, goods_b = registry.goods.get(a), registry.goods.get(b)
     return EquilibriumVerdict(
         pair=(a, b),
@@ -103,48 +124,27 @@ def in_price_equilibrium(registry: MarketRegistry, a: str, b: str) -> Equilibriu
 
 
 def rank_markets(registry: MarketRegistry) -> list[tuple[str, float]]:
-    """Markets ordered by quantized clearing price, names break ties."""
-    ticks = {name: quantize(_clearing_price(registry, name), registry.quantum) for name in registry.entries}
-    ordered = sorted(registry.entries, key=lambda name: (ticks[name], name))
-    return [(name, ticks[name] * registry.quantum) for name in ordered]
+    """Markets ordered by quantized clearing price, names break ties.
+
+    This is the partition of :func:`verify_equivalence_laws` flattened.
+    """
+    return [(name, price) for price, members in _classes(registry) for name in members]
 
 
 def verify_equivalence_laws(registry: MarketRegistry) -> LawReport:
-    """Check all n reflexive pairs, n^2 symmetric pairs, n^3 triples.
+    """Partition the registry into price-equilibrium classes.
 
-    The triple check runs as a boolean matrix product, which covers
-    every ordered (a, b, c) combination.
+    Each market is solved once and keyed by its integer tick. Every
+    market lands in exactly one class, and two markets are related
+    exactly when they share a class, so reflexivity, symmetry and
+    transitivity hold for every registry and no counterexample exists.
+    Markets whose clearing price cannot be solved or quantized raise
+    with the market named.
     """
-    names = list(registry.entries)
-    ticks = np.array(
-        [quantize(_clearing_price(registry, name), registry.quantum) for name in names],
-        dtype=np.int64,
-    )
-    if len(names) == 0:
-        return LawReport(True, True, True, None, ())
-
-    related = np.equal.outer(ticks, ticks)
-    reflexive = bool(np.all(np.diag(related)))
-    symmetric = bool(np.all(related == related.T))
-    reachable = (related.astype(np.uint8) @ related.astype(np.uint8)) > 0
-    violations = reachable & ~related
-    counterexample = None
-    if violations.any():
-        i, k = map(int, np.argwhere(violations)[0])
-        j = int(np.nonzero(related[i] & related[:, k])[0][0])
-        counterexample = (names[i], names[j], names[k])
-
-    by_tick: dict[int, list[str]] = {}
-    for name, tick in zip(names, ticks):
-        by_tick.setdefault(int(tick), []).append(name)
-    classes = tuple(
-        (tick * registry.quantum, tuple(sorted(members)))
-        for tick, members in sorted(by_tick.items())
-    )
     return LawReport(
-        reflexive=reflexive,
-        symmetric=symmetric,
-        transitive=not violations.any(),
-        counterexample=counterexample,
-        classes=classes,
+        reflexive=True,
+        symmetric=True,
+        transitive=True,
+        counterexample=None,
+        classes=_classes(registry),
     )

@@ -236,6 +236,37 @@ def test_zeroth_empty_registry(tmp_path, capsys):
     assert out.splitlines()[0] == "market quantized_price"
 
 
+def zeroth_on(tmp_path, capsys, **config):
+    path = tmp_path / "zeroth.json"
+    path.write_text(json.dumps(dict({"version": "1"}, **config)), encoding="utf-8")
+    return run(capsys, "zeroth", "--config", str(path))
+
+
+def test_zeroth_ticks_beyond_int64(tmp_path, capsys):
+    # Pr* = 1e10 is tick 1e19 at the default quantum, past the int64 range
+    big = {"name": "big", "family": "unitary", "k_s": 1e22, "k_d": 100.0}
+    code, out, _ = zeroth_on(tmp_path, capsys, markets=[big])
+    assert code == 0
+    assert "class price=10000000000: big" in out
+
+
+def test_zeroth_infinite_clearing_price_exits_3(tmp_path, capsys):
+    # finite coefficients whose clearing price sqrt(1e308 / 1e-308) overflows
+    huge = {"name": "huge", "family": "unitary", "k_s": 1e308, "k_d": 1e-308}
+    code, out, err = zeroth_on(tmp_path, capsys, markets=[CONFIG["markets"][0], huge])
+    assert code == 3
+    assert out == "market quantized_price\n"
+    assert "market 'huge'" in err
+
+
+def test_zeroth_infinite_quantum_exits_2(tmp_path, capsys):
+    # json.dumps writes the non-standard literal Infinity
+    code, out, err = zeroth_on(tmp_path, capsys, quantum=float("inf"))
+    assert code == 2
+    assert out == ""
+    assert "Infinity" in err
+
+
 def test_strict_config_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, extra_field=1)), encoding="utf-8")

@@ -140,6 +140,15 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1" + "0" * 400])
+def test_load_config_rejects_non_finite_numbers(tmp_path, number):
+    path = tmp_path / "cfg.json"
+    text = json.dumps(FULL).replace('"k_d": 3.0', f'"k_d": {number}')
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
 def test_packaged_schemas_load():
     for name in ("config", "surface", "isocurves"):
         schema = load_schema(name)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from market_eos import (
+    DomainError,
     InvariantError,
     LinearDemand,
     LinearSupply,
@@ -80,6 +87,12 @@ def test_quantize_half_to_even():
     assert quantize(2.5, 1.0) == 2
 
 
+@pytest.mark.parametrize("price, quantum", [(float("inf"), 1e-9), (float("nan"), 1e-9), (1e300, 1e-20)])
+def test_quantize_rejects_non_finite_ticks(price, quantum):
+    with pytest.raises(DomainError, match="not finite"):
+        quantize(price, quantum)
+
+
 def test_laws_pass_on_equal_price_triple():
     report = verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, C=MARKET_C))
     assert report.all_pass
@@ -100,8 +113,9 @@ def test_empty_registry_report():
 
 
 def test_registry_invariants():
-    with pytest.raises(InvariantError):
-        MarketRegistry(entries={}, quantum=0.0)
+    for quantum in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvariantError):
+            MarketRegistry(entries={}, quantum=quantum)
     with pytest.raises(KeyError):
         registry(A=MARKET_A).market("missing")
 
@@ -147,3 +161,52 @@ def test_laws_hold_for_random_registries(markets, quantum):
     # classes partition the registry
     names = [name for _, members in report.classes for name in members]
     assert sorted(names) == sorted(reg.entries)
+
+
+def brute_force_relation(reg):
+    """Pairwise verdicts as an int64 matrix, and whether the laws hold.
+
+    Checks every pair for reflexivity and symmetry and every (a, b, c)
+    triple for transitivity. Counts are int64, so with n <= 64 the number
+    of intermediate markets b cannot wrap.
+    """
+    names = list(reg.entries)
+    n = len(names)
+    assert n <= 64
+    related = np.array(
+        [[in_price_equilibrium(reg, a, b).in_equilibrium for b in names] for a in names],
+        dtype=np.int64,
+    )
+    paths = related @ related  # paths[a, c] = #b with a~b and b~c
+    reflexive = bool(np.all(np.diag(related) == 1))
+    symmetric = bool(np.array_equal(related, related.T))
+    transitive = bool(np.all((paths > 0) <= (related == 1)))
+    return names, related, (reflexive, symmetric, transitive)
+
+
+# markets drawn with repeats, so registries hold classes of several members
+registry_strategy = st.lists(market_strategy, min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=64)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(markets=registry_strategy, quantum=st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_partition_agrees_with_brute_force_triples(markets, quantum):
+    reg = MarketRegistry(entries={f"m{i}": m for i, m in enumerate(markets)}, quantum=quantum)
+    names, related, laws = brute_force_relation(reg)
+    report = verify_equivalence_laws(reg)
+    assert (report.reflexive, report.symmetric, report.transitive) == laws == (True, True, True)
+    class_of = {name: k for k, (_, members) in enumerate(report.classes) for name in members}
+    assert sorted(class_of) == sorted(names)
+    assert sum(len(members) for _, members in report.classes) == len(names)
+    same_class = np.array([[class_of[a] == class_of[b] for b in names] for a in names], dtype=np.int64)
+    assert np.array_equal(same_class, related)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, market_eos; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
