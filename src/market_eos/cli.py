@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,9 +47,13 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     if not items:
         raise ConfigError(f"{what} must contain at least one value")
     try:
-        return [float(piece) for piece in items]
+        values = [float(piece) for piece in items]
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    for piece, value in zip(items, values):
+        if not math.isfinite(value):
+            raise ConfigError(f"{what}: {piece!r} is not a finite number")
+    return values
 
 
 def _resolve_out(args, cfg: ConfigDocument) -> Path | None:

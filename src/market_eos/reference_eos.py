@@ -77,22 +77,3 @@ class CurieParamagnetEoS:
         if t <= 0:
             raise DomainError(f"temperature must be positive, got {t}")
 
-
-def ideal_gas_pressure(gas: IdealGasEoS, t: float, v: float) -> float:
-    """Pressure n * R * t / v; requires t > 0 and v > 0."""
-    return gas.y_of(v, t)
-
-
-def curie_magnetization(mag: CurieParamagnetEoS, b0: float, t: float) -> float:
-    """Magnetization (D / mu0) * (b0 / t); requires t > 0."""
-    return mag.y_of(b0, t)
-
-
-def surface_residual(eos, point: tuple[float, float, float]) -> float:
-    """Signed residual of a state point (x, y, t) against any surface.
-
-    Accepts anything with the shared contract (ideal gas, paramagnet,
-    or the market surface); zero means the point lies on the surface.
-    """
-    x, y, t = point
-    return eos.residual(x, y, t)

@@ -4,10 +4,17 @@ Works with any equation of state exposing the shared contract
 (``axis_labels``, ``y_of``, ``residual``, ``check_domain``): the market
 surface, the ideal gas and the Curie paramagnet. Exports are plain CSV
 or JSON and are byte-deterministic for a given grid.
+
+Sampled surfaces and iso-curve families share one row layout: the x
+axis, the t values, and one tuple of y values per t. Every point is
+still evaluated and audited on its own; the layout lets the renderers
+format each axis value once instead of once per point.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +32,7 @@ COLLAPSE_REL = 1e-12
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular sampling grid, linear spacing in both directions."""
+    """Rectangular sampling grid with finite bounds, linear spacing in both directions."""
 
     x_min: float
     x_max: float
@@ -33,17 +40,17 @@ class GridSpec:
     t_min: float
     t_max: float
     nt: int
-    spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "x_max", "t_min", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_min < self.x_max:
             raise InvariantError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not self.t_min < self.t_max:
             raise InvariantError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if self.nx < 2 or self.nt < 2:
             raise InvariantError(f"need nx >= 2 and nt >= 2, got nx={self.nx}, nt={self.nt}")
-        if self.spacing != "linear":
-            raise InvariantError(f"only linear spacing is supported, got {self.spacing!r}")
 
     def x_values(self) -> list[float]:
         return _linspace(self.x_min, self.x_max, self.nx)
@@ -52,14 +59,35 @@ class GridSpec:
         return _linspace(self.t_min, self.t_max, self.nt)
 
 
+def _check_rows(x_values: tuple, t_values: tuple, y_rows: tuple) -> None:
+    if not x_values or not t_values:
+        raise InvariantError("need at least one x value and one t value")
+    if len(y_rows) != len(t_values) or any(len(ys) != len(x_values) for ys in y_rows):
+        raise InvariantError(f"need {len(t_values)} rows of {len(x_values)} y values, one per t value")
+
+
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Sampled surface: (x, t, y) triples, row-major in t then x."""
+    """Sampled surface in rows: ``y_rows[j][i]`` is y at ``(x_values[i], t_values[j])``."""
 
     x_label: str
     y_label: str
     t_label: str
-    points: tuple[tuple[float, float, float], ...]
+    x_values: tuple[float, ...]
+    t_values: tuple[float, ...]
+    y_rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_rows(self.x_values, self.t_values, self.y_rows)
+
+    @property
+    def points(self) -> tuple[tuple[float, float, float], ...]:
+        """(x, t, y) triples, row-major in t then x; built on each access."""
+        return tuple(
+            (x, t, y)
+            for t, ys in zip(self.t_values, self.y_rows)
+            for x, y in zip(self.x_values, ys)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -72,10 +100,22 @@ class SurfaceGrid:
 
 @dataclass(frozen=True)
 class IsocurveFamily:
-    """One (x, y) curve per fixed t value; x strictly increasing."""
+    """One curve per fixed t value over a shared, strictly increasing x axis.
 
+    ``y_rows[j][i]`` is y at ``(x_values[i], t_values[j])``.
+    """
+
+    x_values: tuple[float, ...]
     t_values: tuple[float, ...]
-    curves: tuple[tuple[tuple[float, float], ...], ...]
+    y_rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_rows(self.x_values, self.t_values, self.y_rows)
+
+    @property
+    def curves(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """One tuple of (x, y) pairs per t value; built on each access."""
+        return tuple(tuple(zip(self.x_values, ys)) for ys in self.y_rows)
 
     def to_dict(self) -> dict:
         return {
@@ -94,9 +134,25 @@ def _evaluate(eos, x: float, t: float) -> float:
         y = eos.y_of(x, t)
     except DomainError as exc:
         raise DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {exc}") from exc
-    if abs(eos.residual(x, y, t)) > RESIDUAL_AUDIT_REL * max(1.0, abs(y)):
+    if not math.isfinite(y):
+        raise DomainError(f"grid point (x={x}, t={t}) gives non-finite y={y}")
+    if not abs(eos.residual(x, y, t)) <= RESIDUAL_AUDIT_REL * max(1.0, abs(y)):
         raise InvariantError(f"emitted point (x={x}, t={t}, y={y}) fails its residual audit")
     return y
+
+
+def _sample_rows(eos, xs: list[float], ts) -> tuple[tuple[float, ...], ...]:
+    """One tuple of audited y values per t, in x order.
+
+    Linear spacing can round past the double range between finite
+    bounds, and isocurve t values come from the caller, so each axis
+    value is checked once before sampling.
+    """
+    for axis, values in (("x", xs), ("t", ts)):
+        for value in values:
+            if not math.isfinite(value):
+                raise DomainError(f"grid {axis} value {value} is not finite")
+    return tuple(tuple([_evaluate(eos, x, t) for x in xs]) for t in ts)
 
 
 def sample_surface(eos, grid: GridSpec) -> SurfaceGrid:
@@ -106,12 +162,16 @@ def sample_surface(eos, grid: GridSpec) -> SurfaceGrid:
     point is audited against the surface residual.
     """
     xs = grid.x_values()
-    points = []
-    for t in grid.t_values():
-        for x in xs:
-            points.append((x, t, _evaluate(eos, x, t)))
+    ts = grid.t_values()
     x_label, y_label, t_label = eos.axis_labels()
-    return SurfaceGrid(x_label=x_label, y_label=y_label, t_label=t_label, points=tuple(points))
+    return SurfaceGrid(
+        x_label=x_label,
+        y_label=y_label,
+        t_label=t_label,
+        x_values=tuple(xs),
+        t_values=tuple(ts),
+        y_rows=_sample_rows(eos, xs, ts),
+    )
 
 
 def isocurves(
@@ -126,8 +186,9 @@ def isocurves(
     if not t_values:
         raise DomainError("t_values must not be empty")
     xs = _linspace(x_lo, x_hi, n_points)
-    curves = tuple(tuple((x, _evaluate(eos, x, t)) for x in xs) for t in t_values)
-    return IsocurveFamily(t_values=tuple(t_values), curves=curves)
+    return IsocurveFamily(
+        x_values=tuple(xs), t_values=tuple(t_values), y_rows=_sample_rows(eos, xs, t_values)
+    )
 
 
 @dataclass(frozen=True)
@@ -208,14 +269,14 @@ class CurveCollapseReport:
 
 def family_collapse(family: IsocurveFamily, rel_tol: float = COLLAPSE_REL) -> CurveCollapseReport:
     """Pointwise comparison of all curves against the first one."""
-    base = family.curves[0]
+    base = family.y_rows[0]
     max_rel = 0.0
-    for curve in family.curves[1:]:
-        for (_, y0), (_, y) in zip(base, curve):
+    for ys in family.y_rows[1:]:
+        for y0, y in zip(base, ys):
             scale = max(abs(y0), abs(y), 1.0e-300)
             max_rel = max(max_rel, abs(y - y0) / scale)
     return CurveCollapseReport(
-        n_curves=len(family.curves),
+        n_curves=len(family.y_rows),
         max_rel_difference=max_rel,
         collapse=max_rel <= rel_tol,
     )
@@ -229,26 +290,49 @@ def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
     """CSV text: columns x,t,y for a surface, t,x,y for isocurves.
 
     Values carry 17 significant digits so re-parsing reproduces every
-    float bit-exactly.
+    float bit-exactly. Each x is formatted once per object and each t
+    once per row.
     """
     if isinstance(obj, SurfaceGrid):
         lines = ["x,t,y"]
-        lines += [f"{_fmt17(x)},{_fmt17(t)},{_fmt17(y)}" for x, t, y in obj.points]
     elif isinstance(obj, IsocurveFamily):
         lines = ["t,x,y"]
-        for t, curve in zip(obj.t_values, obj.curves):
-            lines += [f"{_fmt17(t)},{_fmt17(x)},{_fmt17(y)}" for x, y in curve]
     else:
         raise TypeError(f"cannot render {type(obj).__name__} as CSV")
+    xs = [_fmt17(x) + "," for x in obj.x_values]
+    for t, ys in zip(obj.t_values, obj.y_rows):
+        t_cell = _fmt17(t) + ","
+        if isinstance(obj, SurfaceGrid):
+            lines += [f"{x}{t_cell}{y:.17g}" for x, y in zip(xs, ys)]
+        else:
+            lines += [f"{t_cell}{x}{y:.17g}" for x, y in zip(xs, ys)]
     return "\n".join(lines) + "\n"
 
 
-def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
-    import json
+def _render_surface_json(grid: SurfaceGrid) -> str:
+    """The text of ``json.dumps(grid.to_dict(), indent=2)``, written row by row.
 
-    if not isinstance(obj, (SurfaceGrid, IsocurveFamily)):
-        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
-    return json.dumps(obj.to_dict(), indent=2) + "\n"
+    Numbers are written with ``repr``, which is what the json encoder
+    writes for a finite float; sampling admits only finite values.
+    """
+    heads = [f"    [\n      {x!r},\n      " for x in grid.x_values]
+    points = []
+    for t, ys in zip(grid.t_values, grid.y_rows):
+        middle = f"{t!r},\n      "
+        points += [f"{head}{middle}{y!r}\n    ]" for head, y in zip(heads, ys)]
+    labels = "".join(
+        f"  {json.dumps(key)}: {json.dumps(getattr(grid, key))},\n"
+        for key in ("x_label", "y_label", "t_label")
+    )
+    return "{\n" + labels + '  "points": [\n' + ",\n".join(points) + "\n  ]\n}\n"
+
+
+def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
+    if isinstance(obj, SurfaceGrid):
+        return _render_surface_json(obj)
+    if isinstance(obj, IsocurveFamily):
+        return json.dumps(obj.to_dict(), indent=2) + "\n"
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 def export(obj: SurfaceGrid | IsocurveFamily, format: str, destination: str | Path) -> Path:

@@ -138,6 +138,44 @@ def test_surface_missing_out_dir_exits_4(config_path, capsys, tmp_path):
     assert code == 4
 
 
+def test_surface_non_finite_point_exits_3_and_writes_nothing(config_path, capsys, tmp_path):
+    out_file = tmp_path / "surface.csv"
+    code, out, err = run(
+        capsys, "surface", "--config", config_path, "gas",
+        "--x-min", "1e-320", "--x-max", "1e-300", "--nx", "2",
+        "--t-min", "1e300", "--t-max", "1e308", "--nt", "2", "--out", str(out_file),
+    )
+    assert code == 3
+    assert out == ""
+    assert "grid point (x=1e-320" in err
+    assert "non-finite" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("override", ["--x-max=inf", "--x-min=-inf", "--t-min=nan", "--t-max=inf"])
+def test_surface_non_finite_grid_bound_exits_2(config_path, capsys, override):
+    code, out, err = run(capsys, "surface", "--config", config_path, "gas", override)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isocurves", "gas", "--t-values", "300,nan"],
+        ["isocurves", "gas", "--t-values", "inf"],
+        ["collapse", "credit", "--prices=1,-inf"],
+    ],
+)
+def test_non_finite_value_list_exits_2(config_path, capsys, argv):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, "--config", config_path, name, *rest)
+    assert code == 2
+    assert out == ""
+    assert "is not a finite number" in err
+
+
 def test_surface_writes_file(config_path, capsys, tmp_path):
     out_file = tmp_path / "surface.csv"
     code, out, _ = run(capsys, "surface", "--config", config_path, "credit", "--out", str(out_file))

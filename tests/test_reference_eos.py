@@ -8,37 +8,32 @@ from market_eos import (
     GAS_CONSTANT,
     IdealGasEoS,
     InvariantError,
-    curie_magnetization,
-    ideal_gas_pressure,
-    surface_residual,
 )
 
 
 def test_ideal_gas_hand_value():
     gas = IdealGasEoS(n=1.0, R=8.314)
-    assert abs(ideal_gas_pressure(gas, 300.0, 0.024) - 103925.0) <= 0.5
+    assert abs(gas.y_of(0.024, 300.0) - 103925.0) <= 0.5
 
 
 def test_boyle_symmetry():
     gas = IdealGasEoS()
-    p1 = ideal_gas_pressure(gas, 310.0, 0.01)
-    p2 = ideal_gas_pressure(gas, 310.0, 0.02)
+    p1 = gas.y_of(0.01, 310.0)
+    p2 = gas.y_of(0.02, 310.0)
     assert p1 == pytest.approx(2.0 * p2, rel=1e-15)
 
 
 def test_pressure_linear_in_temperature():
     gas = IdealGasEoS()
-    assert ideal_gas_pressure(gas, 600.0, 0.024) == pytest.approx(
-        2.0 * ideal_gas_pressure(gas, 300.0, 0.024), rel=1e-15
-    )
+    assert gas.y_of(0.024, 600.0) == pytest.approx(2.0 * gas.y_of(0.024, 300.0), rel=1e-15)
 
 
 def test_gas_domain_and_invariants():
     gas = IdealGasEoS()
     with pytest.raises(DomainError):
-        ideal_gas_pressure(gas, 0.0, 0.024)
+        gas.y_of(0.024, 0.0)
     with pytest.raises(DomainError):
-        ideal_gas_pressure(gas, 300.0, 0.0)
+        gas.y_of(0.0, 300.0)
     with pytest.raises(InvariantError):
         IdealGasEoS(n=0.0)
     with pytest.raises(InvariantError):
@@ -48,18 +43,18 @@ def test_gas_domain_and_invariants():
 
 def test_curie_zero_field():
     mag = CurieParamagnetEoS(D=3.0)
-    assert curie_magnetization(mag, 0.0, 5.0) == 0.0
+    assert mag.y_of(0.0, 5.0) == 0.0
 
 
 def test_curie_hand_value():
     mag = CurieParamagnetEoS(D=2.0, mu0=1.0)
-    assert curie_magnetization(mag, 3.0, 6.0) == 1.0
+    assert mag.y_of(3.0, 6.0) == 1.0
 
 
 def test_curie_oddness_and_linearity():
     mag = CurieParamagnetEoS(D=2.5, mu0=1.3)
-    assert curie_magnetization(mag, -3.0, 6.0) == -curie_magnetization(mag, 3.0, 6.0)
-    assert curie_magnetization(mag, 2.0 * 3.0, 6.0) == 2.0 * curie_magnetization(mag, 3.0, 6.0)
+    assert mag.y_of(-3.0, 6.0) == -mag.y_of(3.0, 6.0)
+    assert mag.y_of(2.0 * 3.0, 6.0) == 2.0 * mag.y_of(3.0, 6.0)
 
 
 def test_curie_invariants():
@@ -68,25 +63,25 @@ def test_curie_invariants():
     with pytest.raises(InvariantError):
         CurieParamagnetEoS(D=1.0, mu0=0.0)
     with pytest.raises(DomainError):
-        curie_magnetization(CurieParamagnetEoS(D=1.0), 1.0, 0.0)
+        CurieParamagnetEoS(D=1.0).y_of(1.0, 0.0)
 
 
 def test_surface_residual_hand_values():
     gas = IdealGasEoS(n=1.0)
-    assert abs(surface_residual(gas, (0.024, 103925.0, 300.0))) <= 0.5
+    assert abs(gas.residual(0.024, 103925.0, 300.0)) <= 0.5
     mag = CurieParamagnetEoS(D=1.0)
-    assert surface_residual(mag, (0.0, 0.0, 1.0)) == 0.0
+    assert mag.residual(0.0, 0.0, 1.0) == 0.0
 
 
 def test_residual_coherent_with_specific_ops():
     gas = IdealGasEoS(n=2.0, R=8.314)
     v, t = 0.031, 412.0
-    p = ideal_gas_pressure(gas, t, v)
-    assert surface_residual(gas, (v, p, t)) == 0.0
-    assert surface_residual(gas, (v, p + 1.0, t)) == 1.0
+    p = gas.y_of(v, t)
+    assert gas.residual(v, p, t) == 0.0
+    assert gas.residual(v, p + 1.0, t) == 1.0
     mag = CurieParamagnetEoS(D=2.0, mu0=0.5)
-    m = curie_magnetization(mag, 3.0, 6.0)
-    assert surface_residual(mag, (3.0, m, 6.0)) == 0.0
+    m = mag.y_of(3.0, 6.0)
+    assert mag.residual(3.0, m, 6.0) == 0.0
 
 
 @given(
@@ -96,8 +91,8 @@ def test_residual_coherent_with_specific_ops():
 )
 def test_isotherm_pv_constant(t, v1, v2):
     gas = IdealGasEoS(n=1.0)
-    pv1 = ideal_gas_pressure(gas, t, v1) * v1
-    pv2 = ideal_gas_pressure(gas, t, v2) * v2
+    pv1 = gas.y_of(v1, t) * v1
+    pv2 = gas.y_of(v2, t) * v2
     assert abs(pv1 - pv2) <= 1e-12 * max(abs(pv1), abs(pv2))
 
 

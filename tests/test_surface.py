@@ -1,17 +1,22 @@
 """Grid sampling, iso-curves, collapse checks, and deterministic exports."""
 
 import json
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from market_eos import (
+    CurieParamagnetEoS,
     DomainError,
     GridSpec,
     IdealGasEoS,
     InvariantError,
     LinearSupply,
     MarketSpec,
+    SurfaceGrid,
     UnitaryDemand,
     derive_unitary_eos,
     export,
@@ -39,6 +44,17 @@ def test_two_by_two_surface_values():
         (2.0, 2.0, 1.0),
     )
     assert (grid.x_label, grid.y_label, grid.t_label) == ("Q_s", "q_d", "Pr")
+    assert (grid.x_values, grid.t_values) == ((1.0, 2.0), (1.0, 2.0))
+    assert grid.y_rows == ((1.0, 2.0), (0.5, 1.0))
+
+
+def test_surface_grid_rows_must_match_axes():
+    with pytest.raises(InvariantError):
+        SurfaceGrid("x", "y", "t", x_values=(1.0, 2.0), t_values=(1.0,), y_rows=((1.0,),))
+    with pytest.raises(InvariantError):
+        SurfaceGrid("x", "y", "t", x_values=(1.0,), t_values=(1.0, 2.0), y_rows=((1.0,),))
+    with pytest.raises(InvariantError):
+        SurfaceGrid("x", "y", "t", x_values=(), t_values=(), y_rows=())
 
 
 def test_point_count_matches_grid():
@@ -169,7 +185,9 @@ def test_grid_spec_invariants():
     with pytest.raises(InvariantError):
         GridSpec(x_min=1.0, x_max=2.0, nx=1, t_min=1.0, t_max=2.0, nt=2)
     with pytest.raises(InvariantError):
-        GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=1.0, t_max=2.0, nt=2, spacing="log")
+        GridSpec(x_min=1.0, x_max=float("inf"), nx=2, t_min=1.0, t_max=2.0, nt=2)
+    with pytest.raises(InvariantError, match="t_min must be finite"):
+        GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=float("nan"), t_max=2.0, nt=2)
 
 
 def test_isocurve_argument_errors():
@@ -179,3 +197,67 @@ def test_isocurve_argument_errors():
         isocurves(UNIT_EOS, [1.0], (5.0, 1.0), 4)
     with pytest.raises(DomainError):
         isocurves(UNIT_EOS, [], (1.0, 5.0), 4)
+
+
+class _NanResidual(IdealGasEoS):
+    """A surface whose residual is NaN: an audit written as ``r > bound`` passes it."""
+
+    def residual(self, x, y, t):
+        return float("nan")
+
+
+def test_non_finite_points_fail_the_audit():
+    # y = n R t / x overflows to inf on every point of this grid
+    grid = GridSpec(x_min=1e-320, x_max=1e-300, nx=2, t_min=1e300, t_max=1e308, nt=2)
+    with pytest.raises(DomainError, match=r"grid point \(x=1e-320, t=1e\+300\) gives non-finite y=inf"):
+        sample_surface(IdealGasEoS(), grid)
+    # finite bounds whose linear spacing overflows: 3 * (max / 3) rounds up to inf
+    wide = GridSpec(x_min=0.0, x_max=sys.float_info.max, nx=4, t_min=1.0, t_max=2.0, nt=2)
+    with pytest.raises(DomainError, match="grid x value inf is not finite"):
+        sample_surface(CurieParamagnetEoS(D=1.0), wide)
+    with pytest.raises(DomainError, match="grid t value nan is not finite"):
+        isocurves(IdealGasEoS(), [300.0, float("nan")], (0.01, 0.1), 4)
+    with pytest.raises(InvariantError, match="fails its residual audit"):
+        sample_surface(_NanResidual(), GRID_2X2)
+
+
+def _per_point_csv(header, rows):
+    """The renderer's reference: every value formatted on its own."""
+    lines = [header] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _scale(exponent):
+    """Strategy for positive floats near 10**exponent, down to the smallest subnormal."""
+    return st.floats(min_value=1.0, max_value=9.99).map(lambda m: max(m * 10.0**exponent, 5e-324))
+
+
+@st.composite
+def _exponent_form_grids(draw):
+    """A surface of one of the three kinds on a grid whose values print in
+    exponent form (1e-05, 1e+16, subnormals). t stays within 16 decades
+    of x, so y = c * x**a * t**b stays finite for all three."""
+    eos = draw(st.sampled_from([IdealGasEoS(n=1.37), CurieParamagnetEoS(D=2.5, mu0=1.3), UNIT_EOS]))
+    x_min = draw(st.sampled_from([5e-324, 1e-310, 1e-05, 1e16]) | _scale(draw(st.integers(-323, 16))))
+    t_min = draw(st.sampled_from([1e-05, 1e16]) | _scale(draw(st.integers(-323, 16))))
+    t_min = max(5e-324, x_min * 1e-16, min(t_min, x_min * 1e16))
+    grid = GridSpec(
+        x_min=x_min,
+        x_max=x_min * 2 ** draw(st.integers(1, 30)),
+        nx=draw(st.integers(2, 6)),
+        t_min=t_min,
+        t_max=t_min * 2 ** draw(st.integers(1, 30)),
+        nt=draw(st.integers(2, 6)),
+    )
+    return eos, grid
+
+
+@given(_exponent_form_grids())
+def test_renderers_match_stdlib_and_per_point_reference(case):
+    eos, grid = case
+    sampled = sample_surface(eos, grid)
+    assert render_json(sampled) == json.dumps(sampled.to_dict(), indent=2) + "\n"
+    assert render_csv(sampled) == _per_point_csv("x,t,y", sampled.points)
+    family = isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx)
+    rows = [(t, x, y) for t, curve in zip(family.t_values, family.curves) for x, y in curve]
+    assert render_csv(family) == _per_point_csv("t,x,y", rows)
