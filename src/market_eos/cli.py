@@ -139,9 +139,8 @@ def cmd_consistency(args) -> int:
 def cmd_eos(args) -> int:
     cfg = load_config(args.config)
     eos = derive_unitary_eos(cfg.market(args.market))
-    amplification = amplification_factor(eos)
     _emit(json.dumps(eos.to_dict(), indent=2) + "\n", _resolve_out(args, cfg))
-    print(f"K={_fmt(eos.K)} amplification={_fmt(amplification)} ({amplification.curie_analogue} analogue)")
+    print(f"K={_fmt(eos.K)} amplification={_fmt(amplification_factor(eos))} (D/mu0 analogue)")
     return 0
 
 

@@ -13,6 +13,7 @@ function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
@@ -92,10 +93,10 @@ class LinearDemand:
     q_d0: float
 
     def __post_init__(self) -> None:
-        if not self.k_s < 0:
-            raise InvariantError(f"linear demand slope k_s must be negative, got {self.k_s}")
-        if not self.q_d0 > 0:
-            raise InvariantError(f"demand intercept q_d0 must be positive, got {self.q_d0}")
+        if not (self.k_s < 0 and math.isfinite(self.k_s)):
+            raise InvariantError(f"linear demand slope k_s must be negative and finite, got {self.k_s}")
+        if not (self.q_d0 > 0 and math.isfinite(self.q_d0)):
+            raise InvariantError(f"demand intercept q_d0 must be positive and finite, got {self.q_d0}")
 
     @property
     def choke_price(self) -> float:
@@ -132,8 +133,8 @@ class LinearSupply:
     k_d: float
 
     def __post_init__(self) -> None:
-        if not self.k_d > 0:
-            raise InvariantError(f"supply slope k_d must be positive, got {self.k_d}")
+        if not (self.k_d > 0 and math.isfinite(self.k_d)):
+            raise InvariantError(f"supply slope k_d must be positive and finite, got {self.k_d}")
 
     def quantity(self, pr: Price) -> float:
         _require_nonnegative_price(pr)
@@ -156,8 +157,8 @@ class UnitaryDemand:
     k_s: float
 
     def __post_init__(self) -> None:
-        if not self.k_s > 0:
-            raise InvariantError(f"unitary demand coefficient k_s must be positive, got {self.k_s}")
+        if not (self.k_s > 0 and math.isfinite(self.k_s)):
+            raise InvariantError(f"unitary demand coefficient k_s must be positive and finite, got {self.k_s}")
 
     def quantity(self, pr: Price) -> Quantity:
         _require_positive_price(pr)
@@ -169,29 +170,7 @@ class UnitaryDemand:
         return -self.k_s / (pr * pr)
 
 
-DemandCurve = LinearDemand | UnitaryDemand
 Curve = LinearDemand | UnitaryDemand | LinearSupply
-
-
-def demand_quantity(curve: DemandCurve, pr: Price) -> Quantity:
-    """Quantity demanded at ``pr`` for either demand family."""
-    if not isinstance(curve, (LinearDemand, UnitaryDemand)):
-        raise TypeError(f"expected a demand curve, got {type(curve).__name__}")
-    return curve.quantity(pr)
-
-
-def supply_quantity(curve: LinearSupply, pr: Price) -> float:
-    """Quantity supplied at ``pr``."""
-    if not isinstance(curve, LinearSupply):
-        raise TypeError(f"expected a supply curve, got {type(curve).__name__}")
-    return curve.quantity(pr)
-
-
-def slope(curve: Curve, pr: Price) -> float:
-    """Rate of change of quantity with price at ``pr``."""
-    if not isinstance(curve, (LinearDemand, UnitaryDemand, LinearSupply)):
-        raise TypeError(f"expected a curve, got {type(curve).__name__}")
-    return curve.slope(pr)
 
 
 def point_elasticity(curve: Curve, pr0: Price) -> Elasticity:

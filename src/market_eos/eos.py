@@ -238,7 +238,7 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
         )
     k = math.sqrt(market.demand.k_s / (market.supply.k_d * market.households))
     pr_star = clearing_price_analytic(market).clearing_price
-    if abs(k * market.households - pr_star) > EOS_SELF_CHECK_REL * pr_star:
+    if not (abs(k * market.households - pr_star) <= EOS_SELF_CHECK_REL * pr_star):
         raise InvariantError(
             f"surface constant failed its identity check: K*N = {k * market.households} "
             f"but the clearing price is {pr_star}"
@@ -246,32 +246,9 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     return UnitaryEoS(K=k, source_market=market)
 
 
-def eos_residual(eos: UnitaryEoS, q_s: float, q_d_per_household: float, pr: float) -> float:
-    """Signed residual q^d - K * Q^s / Pr of a candidate state point."""
-    return eos.residual(q_s, q_d_per_household, pr)
-
-
-class AmplificationFactor(float):
-    """1/K, with its paramagnetic analogue attached for reports.
-
-    For a Curie paramagnet the applied field is amplified into
-    magnetization by D/mu0; here the per-household demand is amplified
-    into supplied quantity by 1/K.
-    """
-
-    __slots__ = ("curie_analogue",)
-
-    curie_analogue: str
-
-    def __new__(cls, value: float):
-        obj = super().__new__(cls, value)
-        obj.curie_analogue = "D/mu0"
-        return obj
-
-
-def amplification_factor(eos: UnitaryEoS) -> AmplificationFactor:
-    """Factor 1/K by which q^d induces Q^s."""
-    return AmplificationFactor(1.0 / eos.K)
+def amplification_factor(eos: UnitaryEoS) -> float:
+    """Factor 1/K by which q^d induces Q^s, as D/mu0 amplifies a paramagnet's field."""
+    return 1.0 / eos.K
 
 
 def per_household(q_aggregate: float, n: int) -> PerHouseholdDemand:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .curves import LinearDemand, LinearSupply, UnitaryDemand, supply_quantity
+from .curves import LinearDemand, LinearSupply, UnitaryDemand
 from .errors import BracketingError, DomainError, InvariantError, UnsolvableMarketError
 
 # Ways to read a unitary demand coefficient when aggregating over
@@ -76,7 +76,7 @@ def aggregate_demand(market: MarketSpec, pr: float) -> float:
 
 def excess_demand(market: MarketSpec, pr: float) -> float:
     """Aggregate demand minus supply at ``pr``; zero at clearing."""
-    return aggregate_demand(market, pr) - supply_quantity(market.supply, pr)
+    return aggregate_demand(market, pr) - market.supply.quantity(pr)
 
 
 def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
@@ -84,6 +84,7 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
 
     Linear-linear: Pr* = q_d0 / (k_d - k_s). Unitary demand:
     Pr* = sqrt(N * k_s / k_d) per-household, sqrt(k_s / k_d) aggregate.
+    Raises ``DomainError`` when Pr* is not a positive finite double.
     """
     demand, supply = market.demand, market.supply
     if isinstance(demand, LinearDemand):
@@ -92,7 +93,9 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
         pr_star = math.sqrt(market.households * demand.k_s / supply.k_d)
     else:
         pr_star = math.sqrt(demand.k_s / supply.k_d)
-    q_star = supply_quantity(supply, pr_star)
+    if not (pr_star > 0 and math.isfinite(pr_star)):
+        raise DomainError(f"clearing price {pr_star} is not a positive finite double")
+    q_star = supply.quantity(pr_star)
     return EquilibriumPoint(pr_star, q_star, residual=abs(excess_demand(market, pr_star)))
 
 
@@ -174,10 +177,10 @@ def clearing_price_numeric(
         else:
             hi = mid
         if hi - lo <= tol * mid:
-            q_mid = supply_quantity(market.supply, mid)
+            q_mid = market.supply.quantity(mid)
             if abs(f_mid) <= RESIDUAL_REL * max(1.0, q_mid):
                 break
 
     pr_star = 0.5 * (lo + hi) if lo < hi else lo
-    q_star = supply_quantity(market.supply, pr_star)
+    q_star = market.supply.quantity(pr_star)
     return EquilibriumPoint(pr_star, q_star, residual=abs(excess_demand(market, pr_star)))

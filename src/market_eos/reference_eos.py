@@ -7,6 +7,7 @@ and comparison tooling treat all three interchangeably.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
@@ -22,10 +23,10 @@ class IdealGasEoS:
     R: float = GAS_CONSTANT
 
     def __post_init__(self) -> None:
-        if not self.n > 0:
-            raise InvariantError(f"amount of substance n must be positive, got {self.n}")
-        if not self.R > 0:
-            raise InvariantError(f"gas constant R must be positive, got {self.R}")
+        if not (self.n > 0 and math.isfinite(self.n)):
+            raise InvariantError(f"amount of substance n must be positive and finite, got {self.n}")
+        if not (self.R > 0 and math.isfinite(self.R)):
+            raise InvariantError(f"gas constant R must be positive and finite, got {self.R}")
 
     def axis_labels(self) -> tuple[str, str, str]:
         return ("V", "P", "T")
@@ -57,10 +58,10 @@ class CurieParamagnetEoS:
     mu0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.D > 0:
-            raise InvariantError(f"Curie constant D must be positive, got {self.D}")
-        if not self.mu0 > 0:
-            raise InvariantError(f"permeability mu0 must be positive, got {self.mu0}")
+        if not (self.D > 0 and math.isfinite(self.D)):
+            raise InvariantError(f"Curie constant D must be positive and finite, got {self.D}")
+        if not (self.mu0 > 0 and math.isfinite(self.mu0)):
+            raise InvariantError(f"permeability mu0 must be positive and finite, got {self.mu0}")
 
     def axis_labels(self) -> tuple[str, str, str]:
         return ("B0", "M", "T")

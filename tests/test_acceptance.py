@@ -23,7 +23,6 @@ from market_eos import (
     clearing_price_analytic,
     clearing_price_numeric,
     derive_unitary_eos,
-    eos_residual,
     family_collapse,
     isocurves,
     isoprice_collapse_check,
@@ -85,7 +84,7 @@ def test_c3_equilibrium_on_surface_and_k_identity():
         eq = clearing_price_analytic(market)
         q_s = eq.clearing_quantity
         q_d = float(market.demand.quantity(eq.clearing_price))
-        if abs(eos_residual(eos, q_s, q_d, eq.clearing_price)) > 1e-12 * max(1.0, q_d):
+        if abs(eos.residual(q_s, q_d, eq.clearing_price)) > 1e-12 * max(1.0, q_d):
             ok = False
             break
         if abs(eos.K * market.households - eq.clearing_price) > 1e-12 * eq.clearing_price:

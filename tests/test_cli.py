@@ -92,6 +92,17 @@ def test_eos_rejects_linear(config_path, capsys):
     assert "check_linear_consistency" in err
 
 
+def test_eos_non_finite_surface_constant_exits_3(tmp_path, capsys):
+    # sqrt(1e308 / 1e-308) overflows; K must not be printed as Infinity
+    path = tmp_path / "huge.json"
+    huge = {"name": "huge", "family": "unitary", "k_s": 1e308, "k_d": 1e-308}
+    path.write_text(json.dumps({"version": "1", "markets": [huge]}), encoding="utf-8")
+    code, out, err = run(capsys, "eos", "--config", str(path), "huge")
+    assert code == 3
+    assert out == ""
+    assert "not a positive finite double" in err
+
+
 def test_surface_stdout_matches_module_example(config_path, capsys):
     code, out, _ = run(capsys, "surface", "--config", config_path, "credit")
     assert code == 0
@@ -111,6 +122,19 @@ def test_surface_grid_overrides(config_path, capsys):
     assert code == 0
     first = out.splitlines()[1].split(",")
     assert abs(float(first[2]) - 103925.0) <= 0.5
+
+
+@pytest.mark.parametrize("argv", [["surface", "gas"], ["isocurves", "gas", "--t-values", "1,2"]])
+def test_integral_float_grid_counts_match_integers(tmp_path, capsys, argv):
+    outputs = []
+    for nx in (3, 3.0):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG, grid=dict(CONFIG["grid"], nx=nx))), encoding="utf-8")
+        code, out, _ = run(capsys, argv[0], "--config", str(path), *argv[1:])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) > 3
 
 
 def test_surface_json_format_validates(config_path, capsys):

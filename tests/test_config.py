@@ -1,8 +1,13 @@
 """Strict config validation and domain-object construction."""
 
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from market_eos import (
     ConfigError,
@@ -74,7 +79,7 @@ def test_unknown_market_field_rejected():
             {"name": "a", "family": "linear", "k_s": -2.0, "q_d0": 10.0, "k_d": 3.0, "color": "red"}
         ],
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="invalid config at markets/0: unknown field 'color'"):
         parse_config(doc)
 
 
@@ -90,6 +95,21 @@ def test_sign_constraints_enforced_by_schema():
     unitary_bad = {"version": "1", "markets": [{"name": "a", "family": "unitary", "k_s": -8.0, "k_d": 2.0}]}
     with pytest.raises(ConfigError):
         parse_config(unitary_bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_from_dicts_rejected(bad):
+    unitary = {"name": "a", "family": "unitary", "k_s": 8.0, "k_d": 2.0}
+    for doc in (
+        {"version": "1", "markets": [dict(unitary, k_s=bad)]},
+        {"version": "1", "markets": [dict(FULL["markets"][0], q_d0=bad)]},
+        {"version": "1", "eos": [{"name": "m", "kind": "paramagnet", "D": bad}]},
+        {"version": "1", "eos": [{"name": "g", "kind": "ideal_gas", "R": bad}]},
+        {"version": "1", "quantum": bad},
+        dict(MINIMAL, grid=dict(FULL["grid"], x_max=bad)),
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(doc)
 
 
 def test_duplicate_names_rejected():
@@ -153,3 +173,97 @@ def test_packaged_schemas_load():
     for name in ("config", "surface", "isocurves"):
         schema = load_schema(name)
         assert schema["$schema"].endswith("2020-12/schema")
+
+
+# Differential test: the parser (shape table plus constructors) must reject
+# exactly the documents the packaged schema rejects, plus the two rules the
+# schema cannot state: unique names and ordered grid bounds.
+CONFIG_VALIDATOR = Draft202012Validator(load_schema("config"))
+# every field the schema knows, plus one it does not
+FIELD_NAMES = ["version", "quantum", "output_dir", "markets", "eos", "grid", "name", "family", "k_s", "q_d0",
+               "k_d", "households", "interpretation", "goods", "kind", "n", "R", "D", "mu0", "x_min", "x_max",
+               "nx", "t_min", "t_max", "nt", "extra"]
+VALUES = st.one_of(
+    st.sampled_from(
+        [True, False, None, "", "x", "a", "gas", "1", "linear", "unitary", "ideal_gas", "paramagnet",
+         "cubic", "per-household", "aggregate", [], {}, [1], {"k": 1}, 0, 1, 2, -1, 0.0, -0.0, 2.0, 3.0, -2.5]
+    ),
+    st.integers(min_value=-5, max_value=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def oracle_rejects(doc) -> bool:
+    if next(CONFIG_VALIDATOR.iter_errors(doc), None) is not None:
+        return True
+    names = [block["name"] for block in doc.get("markets", []) + doc.get("eos", [])]
+    grid = doc.get("grid")
+    disordered = grid is not None and not (grid["x_min"] < grid["x_max"] and grid["t_min"] < grid["t_max"])
+    return len(set(names)) < len(names) or disordered
+
+
+BLOCK_PATHS = [(), ("markets", 0), ("markets", 1), ("eos", 0), ("eos", 1), ("grid",)]
+MUTATIONS = ["drop", "add", "retype", "bool", "integral", "half", "sign", "empty-name", "rename", "kind",
+             "non-object"]
+
+
+def mutate(doc, data):
+    """Apply one drawn mutation to one block of ``doc``; return the document."""
+    op = data.draw(st.sampled_from(MUTATIONS))
+    path = data.draw(st.sampled_from(BLOCK_PATHS))
+    parent, block = None, doc
+    try:
+        for key in path:
+            parent, block = block, block[key]
+    except (KeyError, IndexError, TypeError):
+        return doc  # an earlier mutation removed or replaced this block
+    if op == "non-object":
+        replacement = data.draw(st.sampled_from([[], [block], "x", 1, 2.0, True, None]))
+        if not path:
+            return replacement
+        parent[path[-1]] = replacement
+        return doc
+    if not isinstance(block, dict):
+        return doc
+    numbers = sorted(key for key, value in block.items() if type(value) in (int, float))
+    fields = sorted(block) if op in ("drop", "retype") else numbers
+    field = data.draw(st.sampled_from(fields)) if fields else None
+    if op == "add":
+        block[data.draw(st.sampled_from(FIELD_NAMES))] = data.draw(VALUES)
+    elif op == "empty-name":
+        block["name"] = ""
+    elif op == "rename":
+        block["name"] = data.draw(st.sampled_from(["a", "b", "gas", "magnet"]))
+    elif op == "kind":
+        key = "family" if "k_d" in block else "kind"
+        kinds = ["linear", "unitary", "ideal_gas", "paramagnet", "cubic", "", 1, None]
+        block[key] = data.draw(st.sampled_from(kinds))
+    elif field is None:
+        pass
+    elif op == "drop":
+        del block[field]
+    elif op == "retype":
+        block[field] = data.draw(VALUES)
+    elif op == "bool":
+        block[field] = True
+    elif op == "integral":
+        value = block[field]
+        block[field] = float(value) if isinstance(value, int) else int(value) if value.is_integer() else value
+    elif op == "half":
+        block[field] += 0.5
+    elif op == "sign":
+        block[field] = -block[field]
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_parser_rejects_exactly_what_the_schema_oracle_rejects(data):
+    doc = copy.deepcopy(FULL)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        doc = mutate(doc, data)
+    if oracle_rejects(doc):
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+    else:
+        parse_config(doc)

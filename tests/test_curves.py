@@ -11,10 +11,7 @@ from market_eos import (
     LinearSupply,
     UnitaryDemand,
     classify_elasticity,
-    demand_quantity,
     point_elasticity,
-    slope,
-    supply_quantity,
 )
 
 
@@ -30,7 +27,6 @@ def test_linear_demand_intercept():
 def test_linear_demand_hand_value():
     d = LinearDemand(k_s=-2.0, q_d0=10.0)
     assert d.quantity(3.0) == 4.0
-    assert demand_quantity(d, 3.0) == 4.0
 
 
 def test_unitary_demand_hand_value():
@@ -42,17 +38,16 @@ def test_linear_supply_values():
     assert LinearSupply(k_d=3.0).quantity(0.0) == 0.0
     assert LinearSupply(k_d=3.0).quantity(2.0) == 6.0
     assert LinearSupply(k_d=2.0).quantity(4.0) == 8.0
-    assert supply_quantity(LinearSupply(k_d=2.0), 4.0) == 8.0
 
 
 def test_linear_demand_slope_is_constant():
     d = LinearDemand(k_s=-2.0, q_d0=10.0)
     for pr in (0.0, 0.5, 3.0, 100.0):
-        assert slope(d, pr) == -2.0
+        assert d.slope(pr) == -2.0
 
 
 def test_unitary_demand_slope_hand_value():
-    assert slope(UnitaryDemand(k_s=8.0), 2.0) == -2.0
+    assert UnitaryDemand(k_s=8.0).slope(2.0) == -2.0
 
 
 def test_unitary_slope_matches_central_difference_at_spec_point():
@@ -115,6 +110,15 @@ def test_curve_invariants_rejected():
         LinearSupply(k_d=0.0)
     with pytest.raises(InvariantError):
         UnitaryDemand(k_s=-8.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvariantError):
+            LinearDemand(k_s=bad, q_d0=10.0)
+        with pytest.raises(InvariantError):
+            LinearDemand(k_s=-2.0, q_d0=bad)
+        with pytest.raises(InvariantError):
+            LinearSupply(k_d=bad)
+        with pytest.raises(InvariantError):
+            UnitaryDemand(k_s=bad)
 
 
 def test_price_domain_errors():
@@ -124,15 +128,6 @@ def test_price_domain_errors():
         UnitaryDemand(k_s=8.0).quantity(0.0)
     with pytest.raises(DomainError):
         point_elasticity(LinearSupply(k_d=3.0), 0.0)
-
-
-def test_dispatch_type_errors():
-    with pytest.raises(TypeError):
-        demand_quantity(LinearSupply(k_d=3.0), 1.0)
-    with pytest.raises(TypeError):
-        supply_quantity(UnitaryDemand(k_s=8.0), 1.0)
-    with pytest.raises(TypeError):
-        slope("not a curve", 1.0)
 
 
 positive = st.floats(min_value=1e-9, max_value=1e3, allow_nan=False)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from market_eos import (
     BracketingError,
+    DomainError,
     InvariantError,
     LinearDemand,
     LinearSupply,
@@ -89,6 +90,22 @@ def test_auto_bracket_degenerate_intercept():
     assert lo <= pr_star <= hi
     eq = clearing_price_numeric(tiny)
     assert abs(eq.clearing_price - pr_star) <= 1e-9 * pr_star
+
+
+@pytest.mark.parametrize(
+    "market",
+    [
+        # sqrt(1e308 / 1e-308) overflows to inf
+        MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-308)),
+        # 1e-308 / 1e308 underflows to 0
+        MarketSpec(demand=UnitaryDemand(k_s=1e-308), supply=LinearSupply(k_d=1e308)),
+        # k_d - k_s overflows, so q_d0 / (k_d - k_s) is 0
+        MarketSpec(demand=LinearDemand(k_s=-1e308, q_d0=1.0), supply=LinearSupply(k_d=1e308)),
+    ],
+)
+def test_analytic_rejects_clearing_price_outside_positive_doubles(market):
+    with pytest.raises(DomainError, match="not a positive finite double"):
+        clearing_price_analytic(market)
 
 
 def test_market_spec_invariants():

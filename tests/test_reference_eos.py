@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,11 @@ def test_gas_domain_and_invariants():
         IdealGasEoS(n=0.0)
     with pytest.raises(InvariantError):
         IdealGasEoS(R=-1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvariantError):
+            IdealGasEoS(n=bad)
+        with pytest.raises(InvariantError):
+            IdealGasEoS(R=bad)
     assert GAS_CONSTANT == 8.314
 
 
@@ -62,6 +69,11 @@ def test_curie_invariants():
         CurieParamagnetEoS(D=0.0)
     with pytest.raises(InvariantError):
         CurieParamagnetEoS(D=1.0, mu0=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvariantError):
+            CurieParamagnetEoS(D=bad)
+        with pytest.raises(InvariantError):
+            CurieParamagnetEoS(D=1.0, mu0=bad)
     with pytest.raises(DomainError):
         CurieParamagnetEoS(D=1.0).y_of(1.0, 0.0)
 

@@ -204,9 +204,10 @@ def test_partition_agrees_with_brute_force_triples(markets, quantum):
     assert np.array_equal(same_class, related)
 
 
-def test_import_leaves_numpy_unloaded():
+@pytest.mark.parametrize("module", ["numpy", "jsonschema"])
+def test_import_leaves_test_only_dependency_unloaded(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, market_eos; print('numpy' in sys.modules)"
+    probe = f"import sys, market_eos; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
