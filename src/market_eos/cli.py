@@ -4,8 +4,8 @@ Every command reads one JSON config (strictly validated), runs the
 corresponding solver or sampler, and prints a human-readable line plus
 optional machine-readable CSV/JSON. Exit codes: 0 success (analysis
 findings such as "inconsistent" are successes), 2 config/usage errors,
-3 domain or solver errors, 4 I/O errors. Files are only written when
-an output path is requested.
+3 domain or solver errors and inputs too large for memory, 4 I/O
+errors. Files are only written when an output path is requested.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .equilibrium import clearing_price_analytic, clearing_price_numeric
 from .errors import BracketingError, ConfigError, DomainError, InvariantError
 from .surface import (
     GridSpec,
-    export,
     family_collapse,
     isocurves,
     isoprice_collapse_check,
@@ -293,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DomainError, InvariantError, BracketingError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory (grid or input too large)", file=sys.stderr)
         return 3
     except BrokenPipeError:
         # downstream reader (e.g. head) closed stdout; not an error

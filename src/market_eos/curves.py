@@ -27,44 +27,8 @@ Price = float
 UNITARY_CLASSIFICATION_TOL = 1e-12
 
 
-class Quantity(float):
-    """A quantity of goods that may carry a demand-exhaustion flag.
-
-    Behaves exactly like ``float`` in arithmetic. ``exhausted`` is True
-    when a linear demand curve was evaluated past its choke price and
-    the raw (negative) value was kept; callers decide whether to clamp.
-    """
-
-    __slots__ = ("exhausted", "note")
-
-    exhausted: bool
-    note: str | None
-
-    def __new__(cls, value: float, exhausted: bool = False, note: str | None = None):
-        obj = super().__new__(cls, value)
-        obj.exhausted = exhausted
-        obj.note = note
-        return obj
-
-
-class Elasticity(float):
-    """A point-price elasticity with its classification attached.
-
-    ``classification`` is one of ``"elastic"`` (|E| > 1), ``"unitary"``
-    (|E| = 1 within tolerance) or ``"inelastic"`` (|E| < 1).
-    """
-
-    __slots__ = ("classification",)
-
-    classification: str
-
-    def __new__(cls, value: float):
-        obj = super().__new__(cls, value)
-        obj.classification = classify_elasticity(value)
-        return obj
-
-
 def classify_elasticity(value: float, tol: float = UNITARY_CLASSIFICATION_TOL) -> str:
+    """``"elastic"`` (|E| > 1), ``"unitary"`` (|E| = 1 within ``tol``) or ``"inelastic"`` (|E| < 1)."""
     if abs(abs(value) - 1.0) <= tol:
         return "unitary"
     return "elastic" if abs(value) > 1.0 else "inelastic"
@@ -103,22 +67,15 @@ class LinearDemand:
         """Price at which demanded quantity reaches zero."""
         return self.q_d0 / abs(self.k_s)
 
-    def quantity(self, pr: Price) -> Quantity:
-        """Quantity demanded at price ``pr``; flagged, never clamped.
+    def quantity(self, pr: Price) -> float:
+        """Quantity demanded at price ``pr``, never clamped.
 
-        Past the choke price the raw negative value is returned with
-        ``exhausted=True``. Silent clamping would corrupt the sign
-        structure the equilibrium root-finder relies on.
+        Past the choke price the raw negative value is returned. Silent
+        clamping would corrupt the sign structure the equilibrium
+        root-finder relies on.
         """
         _require_nonnegative_price(pr)
-        value = self.k_s * pr + self.q_d0
-        if value < 0:
-            return Quantity(
-                value,
-                exhausted=True,
-                note=f"demand exhausted above choke price {self.choke_price!r}",
-            )
-        return Quantity(value)
+        return self.k_s * pr + self.q_d0
 
     def slope(self, pr: Price) -> float:
         """Constant slope k_s; ``pr`` is accepted for interface symmetry."""
@@ -160,9 +117,9 @@ class UnitaryDemand:
         if not (self.k_s > 0 and math.isfinite(self.k_s)):
             raise InvariantError(f"unitary demand coefficient k_s must be positive and finite, got {self.k_s}")
 
-    def quantity(self, pr: Price) -> Quantity:
+    def quantity(self, pr: Price) -> float:
         _require_positive_price(pr)
-        return Quantity(self.k_s / pr)
+        return self.k_s / pr
 
     def slope(self, pr: Price) -> float:
         """d(quantity)/d(price) = -k_s / pr**2."""
@@ -173,14 +130,14 @@ class UnitaryDemand:
 Curve = LinearDemand | UnitaryDemand | LinearSupply
 
 
-def point_elasticity(curve: Curve, pr0: Price) -> Elasticity:
+def point_elasticity(curve: Curve, pr0: Price) -> float:
     """Point-price elasticity slope(pr0) * pr0 / quantity(pr0).
 
-    Requires pr0 > 0 and a nonzero quantity at pr0; the returned value
-    carries an elastic/unitary/inelastic classification.
+    Requires pr0 > 0 and a nonzero quantity at pr0;
+    :func:`classify_elasticity` names its elastic/unitary/inelastic band.
     """
     _require_positive_price(pr0)
-    q0 = float(curve.quantity(pr0))
+    q0 = curve.quantity(pr0)
     if q0 == 0.0:
         raise DomainError(f"elasticity undefined at zero quantity (pr0={pr0})")
-    return Elasticity(curve.slope(pr0) * pr0 / q0)
+    return curve.slope(pr0) * pr0 / q0

@@ -26,20 +26,12 @@ import math
 from dataclasses import dataclass
 
 from .curves import LinearDemand, UnitaryDemand
-from .equilibrium import (
-    PER_HOUSEHOLD,
-    MarketSpec,
-    aggregate_demand,
-    clearing_price_analytic,
-)
+from .equilibrium import PER_HOUSEHOLD, MarketSpec, clearing_price_analytic
 from .errors import DomainError, InvariantError
 
 # The derived identity K * N == Pr* is exact algebra; allow only float
 # rounding when checking it at construction.
 EOS_SELF_CHECK_REL = 1e-12
-
-# Residual this small (relative) counts as lying on the surface.
-ON_SURFACE_REL = 1e-12
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -127,61 +119,31 @@ class ConsistencyReport:
         }
 
 
-@dataclass(frozen=True)
-class PerHouseholdDemand:
-    """Aggregate demand divided over N households, provenance retained."""
-
-    value: float
-    households: int
-    aggregate: float
-
-
-@dataclass(frozen=True)
-class LinearRelations:
-    """Coefficients of the squared linear-market curve relations.
-
-    (Q^d)^2 = eps_d_squared * Pr^2 + demand_cross_coeff * Pr
-    (Q^s)^2 = eps_s_squared * Pr^2 + supply_cross_coeff * Pr
-    """
-
-    eps_d_squared: float
-    eps_s_squared: float
-    demand_cross_coeff: float
-    supply_cross_coeff: float
-
-
-def derive_linear_relations(k_s: float, k_d: float, k_pr: float, q_d0: float) -> LinearRelations:
-    """Squared elasticity coefficients for a linear-linear market.
-
-    eps_d_squared = k_d * k_s * k_pr and eps_s_squared = k_d * k_s / k_pr,
-    where k_pr is the demand-to-supply quantity ratio. The cross
-    coefficients carry the intercept q_d0 into the full relations.
-    """
-    if k_pr == 0:
-        raise DomainError("k_pr must be nonzero")
-    return LinearRelations(
-        eps_d_squared=k_d * k_s * k_pr,
-        eps_s_squared=k_d * k_s / k_pr,
-        demand_cross_coeff=k_d * k_pr * q_d0,
-        supply_cross_coeff=(k_d / k_pr) * q_d0,
-    )
-
-
 def linear_consistency_from_coefficients(
     k_s: float, k_d: float, k_pr: float = 1.0
 ) -> ConsistencyReport:
     """Consistency verdict from raw coefficients, invariants unchecked.
 
-    Exposed so control cases (e.g. a positive demand slope) can be
-    probed without constructing a curve that would reject them.
+    eps_d_squared = k_d * k_s * k_pr and eps_s_squared = k_d * k_s / k_pr,
+    where k_pr is the demand-to-supply quantity ratio. Both squares have
+    the sign of the exact product, read from the float result's sign
+    bit, which stays right when the value underflows to -0.0; a square
+    that is not finite raises ``DomainError``. Exposed so control cases
+    (e.g. a positive demand slope) can be probed without constructing a
+    curve that would reject them.
     """
     if k_pr == 0:
         raise DomainError("k_pr must be nonzero")
     eps_d_squared = k_d * k_s * k_pr
     eps_s_squared = k_d * k_s / k_pr
-    classification_d = IMAGINARY if eps_d_squared < 0 else REAL
-    classification_s = IMAGINARY if eps_s_squared < 0 else REAL
-    consistent = classification_d == REAL
+    if not (math.isfinite(eps_d_squared) and math.isfinite(eps_s_squared)):
+        raise DomainError(
+            f"eps_d_squared = {eps_d_squared} and eps_s_squared = {eps_s_squared} "
+            f"are not both finite for k_s={k_s}, k_d={k_d}, k_pr={k_pr}"
+        )
+    negative = k_s != 0 and k_d != 0 and math.copysign(1.0, eps_d_squared) < 0
+    classification = IMAGINARY if negative else REAL
+    consistent = not negative
     if consistent:
         reason = (
             f"both determinations of eps_d are real: eps_d_squared = {eps_d_squared} >= 0 "
@@ -197,8 +159,8 @@ def linear_consistency_from_coefficients(
         eps_d_squared=eps_d_squared,
         eps_s_squared=eps_s_squared,
         eps_d_direct=k_s,
-        classification_d=classification_d,
-        classification_s=classification_s,
+        classification_d=classification,
+        classification_s=classification,
         consistent=consistent,
         reason=reason,
     )
@@ -249,81 +211,3 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
 def amplification_factor(eos: UnitaryEoS) -> float:
     """Factor 1/K by which q^d induces Q^s, as D/mu0 amplifies a paramagnet's field."""
     return 1.0 / eos.K
-
-
-def per_household(q_aggregate: float, n: int) -> PerHouseholdDemand:
-    """Intensive demand q_aggregate / n for n household buyers."""
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"household count must be a positive integer, got {n!r}")
-    return PerHouseholdDemand(value=q_aggregate / n, households=n, aggregate=q_aggregate)
-
-
-@dataclass(frozen=True)
-class IntermediateProbe:
-    """One evaluation of the intermediate relation Q^d ~ c * Q^s / Pr."""
-
-    pr: float
-    lhs_aggregate: float
-    lhs_per_household: float
-    rhs: float
-
-
-@dataclass(frozen=True)
-class IntermediateDiagnostic:
-    """Where the intermediate unitary relation actually holds.
-
-    The coefficient c = sqrt(k_s * k_pr / k_d) with k_pr = 1/N equals
-    K, so c * Q^s / Pr matches the per-household demand exactly at the
-    clearing point and nowhere else; it never matches the aggregate
-    demand for N > 1.
-    """
-
-    coefficient: float
-    k_pr: float
-    probes: tuple[IntermediateProbe, ...]
-    holds_at_clearing: bool
-    holds_identically: bool
-
-
-def derive_unitary_intermediate(
-    market: MarketSpec, prices: tuple[float, ...] | None = None, rel_tol: float = 1e-9
-) -> IntermediateDiagnostic:
-    """Probe the intermediate relation at sample prices (diagnostic only).
-
-    Not used to derive K; it documents that the relation written with
-    the aggregate demand does not hold identically in price.
-    """
-    if not isinstance(market.demand, UnitaryDemand):
-        raise TypeError("the intermediate relation is defined for unitary demand markets")
-    k_pr = 1.0 / market.households
-    coeff = math.sqrt(market.demand.k_s * k_pr / market.supply.k_d)
-    pr_star = clearing_price_analytic(market).clearing_price
-    if prices is None:
-        prices = (0.5 * pr_star, pr_star, 2.0 * pr_star)
-
-    probes = []
-    for pr in prices:
-        q_agg = aggregate_demand(market, pr)
-        rhs = coeff * market.supply.quantity(pr) / pr
-        probes.append(
-            IntermediateProbe(
-                pr=pr,
-                lhs_aggregate=q_agg,
-                lhs_per_household=q_agg / market.households,
-                rhs=rhs,
-            )
-        )
-
-    def matches(lhs: float, rhs: float) -> bool:
-        return abs(lhs - rhs) <= rel_tol * max(1.0, abs(rhs))
-
-    rhs_at_star = coeff * market.supply.quantity(pr_star) / pr_star
-    holds_at_clearing = matches(aggregate_demand(market, pr_star) / market.households, rhs_at_star)
-    holds_identically = all(matches(p.lhs_per_household, p.rhs) for p in probes)
-    return IntermediateDiagnostic(
-        coefficient=coeff,
-        k_pr=k_pr,
-        probes=tuple(probes),
-        holds_at_clearing=holds_at_clearing,
-        holds_identically=holds_identically,
-    )

@@ -70,8 +70,8 @@ def aggregate_demand(market: MarketSpec, pr: float) -> float:
     """
     q = market.demand.quantity(pr)
     if isinstance(market.demand, UnitaryDemand) and market.interpretation == PER_HOUSEHOLD:
-        return market.households * float(q)
-    return float(q)
+        return market.households * q
+    return q
 
 
 def excess_demand(market: MarketSpec, pr: float) -> float:

@@ -236,7 +236,7 @@ def isoprice_collapse_check(
     points = []
     max_rel = 0.0
     for pr in prices:
-        q_d = float(market.demand.quantity(pr))
+        q_d = market.demand.quantity(pr)
         q_s = n * q_d
         line_y = q_s / n
         scale = max(abs(q_d), abs(line_y), 1.0e-300)

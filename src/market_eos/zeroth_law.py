@@ -20,9 +20,6 @@ from .errors import BracketingError, DomainError, InvariantError
 
 DEFAULT_QUANTUM = 1e-9
 
-# Market preconditions assumed, not computable from a MarketSpec.
-MODELING_ASSUMPTIONS = ("efficient", "perfectly-competitive", "clearing")
-
 
 @dataclass(frozen=True)
 class MarketRegistry:
@@ -35,7 +32,6 @@ class MarketRegistry:
     entries: Mapping[str, MarketSpec]
     quantum: float = DEFAULT_QUANTUM
     goods: Mapping[str, str] = field(default_factory=dict)
-    assumptions: tuple[str, ...] = MODELING_ASSUMPTIONS
 
     def __post_init__(self) -> None:
         if not (self.quantum > 0 and math.isfinite(self.quantum)):

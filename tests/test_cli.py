@@ -1,6 +1,10 @@
-"""End-to-end command tests, run in-process through cli.main."""
+"""End-to-end command tests through cli.main, in-process except where a memory cap needs a child."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -69,6 +73,30 @@ def test_consistency_report(config_path, capsys):
     assert doc["consistent"] is False
     assert doc["eps_d_squared"] == -6.0
     assert doc["eps_d_direct"] == -2.0
+
+
+def consistency_on(tmp_path, capsys, k_s, k_d):
+    path = tmp_path / "linear.json"
+    market = {"name": "m", "family": "linear", "k_s": k_s, "q_d0": 1.0, "k_d": k_d}
+    path.write_text(json.dumps({"version": "1", "markets": [market]}), encoding="utf-8")
+    return run(capsys, "consistency", "--config", str(path), "m")
+
+
+def test_consistency_overflowing_square_exits_3(tmp_path, capsys):
+    # k_d*k_s = -1e400 is past the double range; JSON has no -Infinity
+    code, out, err = consistency_on(tmp_path, capsys, -1e200, 1e200)
+    assert code == 3
+    assert out == ""
+    assert "not both finite" in err
+
+
+def test_consistency_underflowing_square_stays_inconsistent(tmp_path, capsys):
+    # k_d*k_s = -1e-400 rounds to -0.0, which is not < 0, yet the square is negative
+    code, out, _ = consistency_on(tmp_path, capsys, -1e-200, 1e-200)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["consistent"] is False
+    assert doc["classification_d"] == doc["classification_s"] == "imaginary"
 
 
 def test_consistency_rejects_unitary(config_path, capsys):
@@ -198,6 +226,29 @@ def test_non_finite_value_list_exits_2(config_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "is not a finite number" in err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux only")
+def test_surface_grid_too_large_for_memory_exits_3(tmp_path):
+    # a child process, so the address-space cap applies to it alone
+    import resource
+
+    limit = 400 * 1024 * 1024
+    path = tmp_path / "huge_grid.json"
+    path.write_text(json.dumps(dict(CONFIG, grid=dict(CONFIG["grid"], nx=1_000_000_000))), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "market_eos.cli", "surface", "--config", str(path), "gas"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: out of memory")
 
 
 def test_surface_writes_file(config_path, capsys, tmp_path):

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import market_eos.eos as eos_module
@@ -19,11 +19,8 @@ from market_eos import (
     amplification_factor,
     check_linear_consistency,
     clearing_price_analytic,
-    derive_linear_relations,
     derive_unitary_eos,
-    derive_unitary_intermediate,
     linear_consistency_from_coefficients,
-    per_household,
 )
 
 
@@ -38,28 +35,28 @@ def linear_market(k_s=-2.0, q_d0=10.0, k_d=3.0, n=1):
 
 
 def test_linear_relations_hand_values():
-    rel = derive_linear_relations(k_s=-2.0, k_d=3.0, k_pr=1.0, q_d0=10.0)
+    rel = linear_consistency_from_coefficients(k_s=-2.0, k_d=3.0, k_pr=1.0)
     assert rel.eps_d_squared == -6.0
     assert rel.eps_s_squared == -6.0
+    rel = linear_consistency_from_coefficients(k_s=-2.0, k_d=3.0, k_pr=4.0)
+    assert rel.eps_d_squared == -24.0
+    assert rel.eps_s_squared == -1.5
 
 
 def test_linear_relations_sign_controls():
-    assert derive_linear_relations(2.0, 3.0, 1.0, 10.0).eps_d_squared == 6.0
-    assert derive_linear_relations(2.0, 3.0, 1.0, 10.0).eps_s_squared == 6.0
-    rel = derive_linear_relations(-2.0, 3.0, -1.0, 10.0)
-    assert rel.eps_d_squared == 6.0
-    assert rel.eps_s_squared == 6.0
-
-
-def test_linear_relations_carry_intercept():
-    rel = derive_linear_relations(-2.0, 3.0, 1.0, 10.0)
-    assert rel.demand_cross_coeff == 30.0
-    assert rel.supply_cross_coeff == 30.0
+    for k_s, k_pr in ((2.0, 1.0), (-2.0, -1.0)):
+        rel = linear_consistency_from_coefficients(k_s, 3.0, k_pr)
+        assert rel.eps_d_squared == 6.0
+        assert rel.eps_s_squared == 6.0
+        assert rel.classification_d == rel.classification_s == "real"
+        assert rel.consistent is True
+    # a zero slope makes a zero square, real whatever the sign bit of -0.0
+    assert linear_consistency_from_coefficients(0.0, 3.0, -1.0).consistent is True
 
 
 def test_linear_relations_zero_kpr_rejected():
     with pytest.raises(DomainError):
-        derive_linear_relations(-2.0, 3.0, 0.0, 10.0)
+        linear_consistency_from_coefficients(-2.0, 3.0, 0.0)
 
 
 def test_consistency_report_canonical_market():
@@ -164,35 +161,6 @@ def test_amplification_factors():
     assert amplification_factor(derive_unitary_eos(unitary_market(1.0, 16.0, 1))) == 4.0
 
 
-def test_per_household_values():
-    assert per_household(8.0, 4).value == 2.0
-    assert per_household(3.25, 1).value == 3.25
-    assert per_household(0.0, 5).value == 0.0
-    assert per_household(8.0, 4).aggregate == 8.0
-    with pytest.raises(DomainError):
-        per_household(8.0, 0)
-    with pytest.raises(DomainError):
-        per_household(8.0, 2.0)
-
-
-def test_intermediate_relation_is_diagnostic_only():
-    diag = derive_unitary_intermediate(unitary_market(8.0, 2.0, 4))
-    assert diag.k_pr == 0.25
-    assert diag.coefficient == pytest.approx(1.0, rel=1e-12)  # equals K
-    assert diag.holds_at_clearing
-    assert not diag.holds_identically
-
-
-def test_intermediate_holds_only_at_clearing_even_for_single_household():
-    # off-equilibrium probes tie Q^s to the supply curve, so the
-    # relation fails away from the clearing price for every N
-    diag = derive_unitary_intermediate(unitary_market(8.0, 2.0, 1))
-    assert diag.holds_at_clearing
-    assert not diag.holds_identically
-    at_star = derive_unitary_intermediate(unitary_market(8.0, 2.0, 1), prices=(2.0, 2.0))
-    assert at_star.holds_identically
-
-
 coef = st.floats(min_value=0.01, max_value=100.0)
 
 
@@ -202,7 +170,7 @@ def test_equilibrium_point_lies_on_surface(k_s, k_d, n):
     eos = derive_unitary_eos(market)
     eq = clearing_price_analytic(market)
     q_s = eq.clearing_quantity
-    q_d = float(market.demand.quantity(eq.clearing_price))
+    q_d = market.demand.quantity(eq.clearing_price)
     assert abs(eos.residual(q_s, q_d, eq.clearing_price)) <= 1e-12 * max(1.0, q_d)
     assert abs(eos.K * n - eq.clearing_price) <= 1e-12 * eq.clearing_price
 
@@ -222,6 +190,27 @@ def test_inconsistency_theorem(k_s, k_d):
     assert report.eps_d_squared < 0
     assert report.eps_d_direct == k_s
     assert report.consistent is False
+
+
+# every binary exponent of a positive double, subnormals included, is equally likely
+magnitude = st.builds(
+    math.ldexp, st.floats(min_value=1.0, max_value=2.0, exclude_max=True), st.integers(-1074, 1023)
+)
+
+
+@example(k_s=-1e200, k_d=1e200)  # the squares overflow
+@example(k_s=-1e-200, k_d=1e-200)  # the squares underflow to -0.0
+@given(k_s=magnitude.map(lambda m: -m), k_d=magnitude)
+def test_linear_verdict_over_all_finite_doubles(k_s, k_d):
+    try:
+        report = check_linear_consistency(linear_market(k_s=k_s, k_d=k_d))
+    except DomainError:
+        assert math.isinf(k_d * k_s)
+        return
+    assert report.consistent is False
+    assert report.classification_d == report.classification_s == "imaginary"
+    assert math.isfinite(report.eps_d_squared)
+    assert math.isfinite(report.eps_s_squared)
 
 
 def test_eos_domain_check():
