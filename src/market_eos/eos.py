@@ -23,11 +23,13 @@ with a built-in identity check, the second as an explicit report.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .curves import LinearDemand, UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec, clearing_price_analytic
 from .errors import DomainError, InvariantError
+from .reference_eos import Row
 
 # The derived identity K * N == Pr* is exact algebra; allow only float
 # rounding when checking it at construction.
@@ -63,16 +65,24 @@ class UnitaryEoS:
 
     def y_of(self, x: float, t: float) -> float:
         """Per-household demand on the surface at supply x, price t."""
-        self.check_domain(x, t)
+        if t <= 0:
+            raise DomainError(f"price must be positive, got {t}")
         return self.K * x / t
 
     def residual(self, x: float, y: float, t: float) -> float:
         """Signed distance y - K * x / t; zero means on-surface."""
         return y - self.y_of(x, t)
 
-    def check_domain(self, x: float, t: float) -> None:
-        if t <= 0:
-            raise DomainError(f"price must be positive, got {t}")
+    def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
+        """Per t: the demands over ``xs`` and the sides of ``q_d * Pr = K * Q_s``.
+
+        Yields ``(ys, ws, rs)`` with ``ys[i] * ws[i] == rs[i]`` up to
+        rounding. ``K*x`` is computed once per call and every y has the
+        bits of ``y_of``; the caller checks the domain.
+        """
+        kx = [self.K * x for x in xs]
+        for t in ts:
+            yield [v / t for v in kx], [t] * len(xs), kx
 
     def to_dict(self) -> dict:
         demand = self.source_market.demand

@@ -1,18 +1,23 @@
 """Classical reference equations of state: ideal gas and Curie paramagnet.
 
 Both expose the same surface-evaluation contract as the market surface
-(axis labels, a closed form y(x, t), a signed residual), so samplers
-and comparison tooling treat all three interchangeably.
+(axis labels, a closed form y(x, t), a signed residual, and rows of
+the closed form with the implicit form they satisfy), so samplers and
+comparison tooling treat all three interchangeably.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
 
 GAS_CONSTANT = 8.314
+
+# One row of a surface: its y values and the two sides of y * w == r.
+Row = tuple[list[float], list[float], list[float]]
 
 
 @dataclass(frozen=True)
@@ -33,17 +38,25 @@ class IdealGasEoS:
 
     def y_of(self, x: float, t: float) -> float:
         """Pressure at volume x and temperature t."""
-        self.check_domain(x, t)
+        if t <= 0:
+            raise DomainError(f"temperature must be positive, got {t}")
+        if x <= 0:
+            raise DomainError(f"volume must be positive, got {x}")
         return self.n * self.R * t / x
 
     def residual(self, x: float, y: float, t: float) -> float:
         return y - self.y_of(x, t)
 
-    def check_domain(self, x: float, t: float) -> None:
-        if t <= 0:
-            raise DomainError(f"temperature must be positive, got {t}")
-        if x <= 0:
-            raise DomainError(f"volume must be positive, got {x}")
+    def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
+        """Per t: the pressures over ``xs`` and the sides of ``P * V = n*R*T``.
+
+        Yields ``(ys, ws, rs)`` with ``ys[i] * ws[i] == rs[i]`` up to
+        rounding. ``n*R*t`` is computed once per row and every y has the
+        bits of ``y_of``; the caller checks the domain.
+        """
+        for t in ts:
+            c = self.n * self.R * t
+            yield [c / x for x in xs], xs, [c] * len(xs)
 
 
 @dataclass(frozen=True)
@@ -68,13 +81,21 @@ class CurieParamagnetEoS:
 
     def y_of(self, x: float, t: float) -> float:
         """Magnetization at applied field x and temperature t."""
-        self.check_domain(x, t)
+        if t <= 0:
+            raise DomainError(f"temperature must be positive, got {t}")
         return (self.D / self.mu0) * (x / t)
 
     def residual(self, x: float, y: float, t: float) -> float:
         return y - self.y_of(x, t)
 
-    def check_domain(self, x: float, t: float) -> None:
-        if t <= 0:
-            raise DomainError(f"temperature must be positive, got {t}")
+    def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
+        """Per t: the magnetizations over ``xs`` and the sides of ``M * T = (D/mu0) * B0``.
+
+        Yields ``(ys, ws, rs)`` as ``IdealGasEoS.rows`` does. ``D/mu0``
+        and the right-hand sides are computed once per call.
+        """
+        c = self.D / self.mu0
+        cx = [c * x for x in xs]
+        for t in ts:
+            yield [c * (x / t) for x in xs], [t] * len(xs), cx
 

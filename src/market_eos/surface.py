@@ -1,29 +1,59 @@
 """Constraint-surface sampling, iso-curve families and collapse checks.
 
-Works with any equation of state exposing the shared contract
-(``axis_labels``, ``y_of``, ``residual``, ``check_domain``): the market
-surface, the ideal gas and the Curie paramagnet. Exports are plain CSV
-or JSON and are byte-deterministic for a given grid.
+Works with any equation of state exposing the shared contract: the
+market surface, the ideal gas and the Curie paramagnet.
+
+- ``axis_labels()`` names the x, y and t axes.
+- ``y_of(x, t)`` is the closed form at one point. It raises
+  ``DomainError`` outside the domain, which is a condition on x and a
+  condition on t.
+- ``residual(x, y, t)`` is ``y - y_of(x, t)``.
+- ``rows(xs, ts)`` yields, per t, the closed form over ``xs`` with its
+  constants hoisted and the same bits as ``y_of``, plus the two sides of
+  the implicit form ``y * w == r`` each y satisfies: ``P * V = n*R*T``,
+  ``M * T = (D/mu0) * B0`` and ``q_d * Pr = K * Q_s``.
+
+Sampling checks the domain once per axis value, then evaluates one row
+at a time. Every point is audited against its implicit form, which does
+not repeat the division that produced y: ``|y*w - r|`` must be at most
+``AUDIT_EPS`` machine epsilons of ``|r|`` plus ``AUDIT_EPS`` subnormal
+ULPs. A product that overflows while y is finite is compared again
+with x and t scaled by one power of two, which every surface allows:
+each depends on x and t only through their ratio. A non-finite y, a
+subnormal y or one that underflowed to zero (too few significant bits),
+and a grid of more than ``MAX_GRID_POINTS`` points are rejected.
 
 Sampled surfaces and iso-curve families share one row layout: the x
-axis, the t values, and one tuple of y values per t. Every point is
-still evaluated and audited on its own; the layout lets the renderers
-format each axis value once instead of once per point.
+axis, the t values, and one tuple of y values per t. Exports are plain
+CSV or JSON, byte-deterministic for a given grid, and rendered one row
+at a time: each axis value is formatted once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
 from .errors import DomainError, InvariantError
 
-# Every emitted point must sit on its surface to this relative bound.
-RESIDUAL_AUDIT_REL = 1e-9
+# Audit bound in machine epsilons (relative) and subnormal ULPs
+# (absolute). Rounding leaves at most about two epsilons between the
+# sides of an implicit form; a y 64 ULP off is at least 32 epsilons off.
+AUDIT_EPS = 4
+_AUDIT_REL = AUDIT_EPS * sys.float_info.epsilon
+_AUDIT_ABS = AUDIT_EPS * math.ulp(0.0)
+_DBL_MIN = sys.float_info.min
+
+# Largest number of points a surface grid or an iso-curve family may
+# have: a 2000 x 2000 grid, whose CLI export peaks near 0.6 GB of
+# memory as CSV and 0.85 GB as JSON. Checked before any axis is built.
+MAX_GRID_POINTS = 4_000_000
 
 # Pointwise relative tolerance for declaring curves (or points on a
 # line) degenerate.
@@ -51,6 +81,10 @@ class GridSpec:
             raise InvariantError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if self.nx < 2 or self.nt < 2:
             raise InvariantError(f"need nx >= 2 and nt >= 2, got nx={self.nx}, nt={self.nt}")
+        if self.nx * self.nt > MAX_GRID_POINTS:
+            raise InvariantError(
+                f"grid of nx*nt = {self.nx * self.nt} points exceeds the limit of {MAX_GRID_POINTS}"
+            )
 
     def x_values(self) -> list[float]:
         return _linspace(self.x_min, self.x_max, self.nx)
@@ -129,37 +163,72 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _evaluate(eos, x: float, t: float) -> float:
-    try:
-        y = eos.y_of(x, t)
-    except DomainError as exc:
-        raise DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {exc}") from exc
+def _row_passes(ys: list[float], ws: list[float], rs: list[float]) -> bool:
+    """No y is subnormal and every ``y * w`` is within the audit bound of ``r``.
+
+    Written so that a NaN anywhere fails it. The subnormal scan is
+    skipped when every y is normal and of one sign, and the audit lists
+    its failures, which runs faster than ``all`` over a generator.
+    """
+    one_signed_normal = min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN
+    if not one_signed_normal and min(filter(None, map(abs, ys)), default=_DBL_MIN) < _DBL_MIN:
+        return False
+    return not [y for y, w, r in zip(ys, ws, rs) if not abs(y * w - r) <= _AUDIT_REL * abs(r) + _AUDIT_ABS]
+
+
+def _audit_point(eos, x: float, y: float, t: float, w: float, r: float) -> None:
+    """Raise unless y is finite, normal or exactly zero, and on its implicit form ``y * w == r``."""
     if not math.isfinite(y):
         raise DomainError(f"grid point (x={x}, t={t}) gives non-finite y={y}")
-    if not abs(eos.residual(x, y, t)) <= RESIDUAL_AUDIT_REL * max(1.0, abs(y)):
-        raise InvariantError(f"emitted point (x={x}, t={t}, y={y}) fails its residual audit")
-    return y
+    if _row_passes([y], [w], [r]):
+        return
+    if abs(y) < _DBL_MIN:
+        raise DomainError(f"grid point (x={x}, t={t}) underflows: y={y} is below the smallest normal double")
+    if math.isinf(y * w) or math.isinf(r):
+        # y depends on x/t alone, so scaling both by 2**-k keeps y and
+        # scales each side exactly, to where neither overflows
+        k = max(math.frexp(x)[1], math.frexp(t)[1])
+        [(ys, ws, rs)] = eos.rows([math.ldexp(x, -k)], [math.ldexp(t, -k)])
+        if ys == [y] and _row_passes(ys, ws, rs):
+            return
+    raise InvariantError(
+        f"emitted point (x={x}, t={t}, y={y}) fails its residual audit: "
+        f"the implicit form gives {y * w!r} against {r!r}"
+    )
 
 
-def _sample_rows(eos, xs: list[float], ts) -> tuple[tuple[float, ...], ...]:
+def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ...], ...]:
     """One tuple of audited y values per t, in x order.
 
     Linear spacing can round past the double range between finite
     bounds, and isocurve t values come from the caller, so each axis
-    value is checked once before sampling.
+    value is checked once before sampling. The domain is a condition on
+    x and one on t, so ``y_of`` along the first row, then down the
+    first column, meets the first point outside it in (t, x) order.
     """
     for axis, values in (("x", xs), ("t", ts)):
         for value in values:
             if not math.isfinite(value):
                 raise DomainError(f"grid {axis} value {value} is not finite")
-    return tuple(tuple([_evaluate(eos, x, t) for x in xs]) for t in ts)
+    for x, t in chain(zip(xs, repeat(ts[0])), zip(repeat(xs[0]), ts)):
+        try:
+            eos.y_of(x, t)
+        except DomainError as exc:
+            raise DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {exc}") from exc
+    y_rows = []
+    for t, (ys, ws, rs) in zip(ts, eos.rows(xs, ts)):
+        if not _row_passes(ys, ws, rs):
+            for x, y, w, r in zip(xs, ys, ws, rs):
+                _audit_point(eos, x, y, t, w, r)
+        y_rows.append(tuple(ys))
+    return tuple(y_rows)
 
 
 def sample_surface(eos, grid: GridSpec) -> SurfaceGrid:
     """Evaluate the surface closed form at every grid point.
 
     Ordering is deterministic (t outer, x inner) and every emitted
-    point is audited against the surface residual.
+    point is audited against the surface's implicit form.
     """
     xs = grid.x_values()
     ts = grid.t_values()
@@ -185,6 +254,10 @@ def isocurves(
         raise DomainError(f"need x_min < x_max, got [{x_lo}, {x_hi}]")
     if not t_values:
         raise DomainError("t_values must not be empty")
+    if len(t_values) * n_points > MAX_GRID_POINTS:
+        raise DomainError(
+            f"{len(t_values)} curves of {n_points} points exceed the limit of {MAX_GRID_POINTS} points"
+        )
     xs = _linspace(x_lo, x_hi, n_points)
     return IsocurveFamily(
         x_values=tuple(xs), t_values=tuple(t_values), y_rows=_sample_rows(eos, xs, t_values)
@@ -234,20 +307,22 @@ def isoprice_collapse_check(
 
     n = market.households
     points = []
-    max_rel = 0.0
+    deviations = []
     for pr in prices:
         q_d = market.demand.quantity(pr)
         q_s = n * q_d
+        if not (math.isfinite(q_d) and math.isfinite(q_s)):
+            raise DomainError(f"price {pr} gives a non-finite cleared state (Q_s={q_s}, q_d={q_d})")
         line_y = q_s / n
         scale = max(abs(q_d), abs(line_y), 1.0e-300)
-        max_rel = max(max_rel, abs(q_d - line_y) / scale)
+        deviations.append(abs(q_d - line_y) / scale)
         points.append((q_s, q_d))
     return IsopriceCollapseReport(
         line_slope=1.0 / n,
         prices=tuple(prices),
         points=tuple(points),
-        max_rel_deviation=max_rel,
-        collapse=max_rel <= rel_tol,
+        max_rel_deviation=max(deviations),
+        collapse=all(d <= rel_tol for d in deviations),
     )
 
 
@@ -286,27 +361,27 @@ def _fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _rows_text(pattern: str, t_cell, obj: SurfaceGrid | IsocurveFamily) -> list[str]:
+    """``pattern`` with ``{t}`` set to ``t_cell(t)`` and its ``%`` slots to the y row, per row."""
+    return [pattern.replace("{t}", t_cell(t)) % tuple(ys) for t, ys in zip(obj.t_values, obj.y_rows)]
+
+
 def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
     """CSV text: columns x,t,y for a surface, t,x,y for isocurves.
 
-    Values carry 17 significant digits so re-parsing reproduces every
-    float bit-exactly. Each x is formatted once per object and each t
-    once per row.
+    Values carry 17 significant digits (``%.17g`` writes the bytes of
+    ``format(y, ".17g")``), so re-parsing reproduces every float
+    bit-exactly. Each x is formatted once per object and each t once
+    per row.
     """
     if isinstance(obj, SurfaceGrid):
-        lines = ["x,t,y"]
+        header, line = "x,t,y\n", "{x},{{t}},%.17g\n"
     elif isinstance(obj, IsocurveFamily):
-        lines = ["t,x,y"]
+        header, line = "t,x,y\n", "{{t}},{x},%.17g\n"
     else:
         raise TypeError(f"cannot render {type(obj).__name__} as CSV")
-    xs = [_fmt17(x) + "," for x in obj.x_values]
-    for t, ys in zip(obj.t_values, obj.y_rows):
-        t_cell = _fmt17(t) + ","
-        if isinstance(obj, SurfaceGrid):
-            lines += [f"{x}{t_cell}{y:.17g}" for x, y in zip(xs, ys)]
-        else:
-            lines += [f"{t_cell}{x}{y:.17g}" for x, y in zip(xs, ys)]
-    return "\n".join(lines) + "\n"
+    pattern = "".join(line.format(x=_fmt17(x)) for x in obj.x_values)
+    return "".join([header, *_rows_text(pattern, _fmt17, obj)])
 
 
 def _render_surface_json(grid: SurfaceGrid) -> str:
@@ -315,16 +390,16 @@ def _render_surface_json(grid: SurfaceGrid) -> str:
     Numbers are written with ``repr``, which is what the json encoder
     writes for a finite float; sampling admits only finite values.
     """
-    heads = [f"    [\n      {x!r},\n      " for x in grid.x_values]
-    points = []
-    for t, ys in zip(grid.t_values, grid.y_rows):
-        middle = f"{t!r},\n      "
-        points += [f"{head}{middle}{y!r}\n    ]" for head, y in zip(heads, ys)]
+    pattern = ",\n".join(f"    [\n      {x!r},\n      {{t}},\n      %r\n    ]" for x in grid.x_values)
     labels = "".join(
         f"  {json.dumps(key)}: {json.dumps(getattr(grid, key))},\n"
         for key in ("x_label", "y_label", "t_label")
     )
-    return "{\n" + labels + '  "points": [\n' + ",\n".join(points) + "\n  ]\n}\n"
+    rows = _rows_text(pattern, repr, grid)
+    # one join writes the whole text, so it is copied once
+    rows[0] = "{\n" + labels + '  "points": [\n' + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:

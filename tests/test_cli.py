@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from market_eos import cli, load_schema
+from market_eos import CurieParamagnetEoS, GridSpec, cli, load_schema
 
 CONFIG = {
     "version": "1",
@@ -233,9 +233,10 @@ def test_surface_grid_too_large_for_memory_exits_3(tmp_path):
     # a child process, so the address-space cap applies to it alone
     import resource
 
-    limit = 400 * 1024 * 1024
+    # the largest grid the point limit allows; its y rows alone need more than the cap
+    limit = 150 * 1024 * 1024
     path = tmp_path / "huge_grid.json"
-    path.write_text(json.dumps(dict(CONFIG, grid=dict(CONFIG["grid"], nx=1_000_000_000))), encoding="utf-8")
+    path.write_text(json.dumps(dict(CONFIG, grid=dict(CONFIG["grid"], nx=2000, nt=2000))), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
@@ -249,6 +250,49 @@ def test_surface_grid_too_large_for_memory_exits_3(tmp_path):
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr.startswith("error: out of memory")
+
+
+def test_surface_grid_over_the_point_limit_exits_2(config_path, capsys):
+    code, out, err = run(capsys, "surface", "--config", config_path, "gas", "--nx", "2001", "--nt", "2000")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 4000000" in err
+    code, out, err = run(
+        capsys, "isocurves", "--config", config_path, "gas", "--t-values", "1,2", "--points", "2000001"
+    )
+    assert code == 3
+    assert out == ""
+    assert "exceed the limit of 4000000" in err
+
+
+def test_surface_near_the_largest_double_exports_every_point(config_path, capsys, tmp_path):
+    # M*T and (D/mu0)*B0 overflow wherever B0 > DBL_MAX/2, about half the grid, while M stays finite
+    out_file = tmp_path / "magnet.csv"
+    code, _, _ = run(
+        capsys, "surface", "--config", config_path, "magnet", "--nx", "50", "--nt", "50",
+        "--x-min", "1e307", "--x-max", "1.7e308", "--t-min", "4", "--t-max", "8", "--out", str(out_file),
+    )
+    assert code == 0
+    magnet = CurieParamagnetEoS(D=2.0)
+    grid = GridSpec(x_min=1e307, x_max=1.7e308, nx=50, t_min=4.0, t_max=8.0, nt=50)
+    expected = "x,t,y\n" + "".join(
+        f"{x:.17g},{t:.17g},{magnet.y_of(x, t):.17g}\n" for t in grid.t_values() for x in grid.x_values()
+    )
+    assert out_file.read_text(encoding="utf-8") == expected
+
+
+def test_surface_subnormal_point_exits_3_and_writes_nothing(config_path, capsys, tmp_path):
+    # n*R*t / x is about 8e-317 at the first point: a subnormal with 24 significant bits
+    out_file = tmp_path / "gas.csv"
+    code, out, err = run(
+        capsys, "surface", "--config", config_path, "gas",
+        "--x-min", "1e307", "--x-max", "1e308", "--t-min", "1e-10", "--t-max", "2e-10",
+        "--out", str(out_file),
+    )
+    assert code == 3
+    assert out == ""
+    assert "grid point (x=1e+307, t=1e-10) underflows" in err
+    assert not out_file.exists()
 
 
 def test_surface_writes_file(config_path, capsys, tmp_path):
@@ -321,6 +365,18 @@ def test_collapse_report_file(config_path, capsys, tmp_path):
     doc = json.loads(out_file.read_text(encoding="utf-8"))
     assert doc["collapse"] is True
     assert doc["line_slope"] == 0.25
+
+
+def test_collapse_overflowing_price_exits_3_and_writes_nothing(config_path, capsys, tmp_path):
+    out_file = tmp_path / "collapse.json"
+    code, out, err = run(
+        capsys, "collapse", "--config", config_path, "credit",
+        "--prices", "1e-320", "--out", str(out_file),
+    )
+    assert code == 3
+    assert out == ""
+    assert "price 1e-320 gives a non-finite cleared state" in err
+    assert not out_file.exists()
 
 
 def test_collapse_rejects_linear_market(config_path, capsys):

@@ -17,6 +17,7 @@ from market_eos import (
     load_schema,
     parse_config,
 )
+from market_eos.surface import MAX_GRID_POINTS
 
 MINIMAL = {"version": "1"}
 
@@ -176,8 +177,9 @@ def test_packaged_schemas_load():
 
 
 # Differential test: the parser (shape table plus constructors) must reject
-# exactly the documents the packaged schema rejects, plus the two rules the
-# schema cannot state: unique names and ordered grid bounds.
+# exactly the documents the packaged schema rejects, plus the rules the
+# schema cannot state: unique names, ordered grid bounds and the grid point
+# limit.
 CONFIG_VALIDATOR = Draft202012Validator(load_schema("config"))
 # every field the schema knows, plus one it does not
 FIELD_NAMES = ["version", "quantum", "output_dir", "markets", "eos", "grid", "name", "family", "k_s", "q_d0",
@@ -199,7 +201,8 @@ def oracle_rejects(doc) -> bool:
     names = [block["name"] for block in doc.get("markets", []) + doc.get("eos", [])]
     grid = doc.get("grid")
     disordered = grid is not None and not (grid["x_min"] < grid["x_max"] and grid["t_min"] < grid["t_max"])
-    return len(set(names)) < len(names) or disordered
+    oversized = grid is not None and grid["nx"] * grid["nt"] > MAX_GRID_POINTS
+    return len(set(names)) < len(names) or disordered or oversized
 
 
 BLOCK_PATHS = [(), ("markets", 0), ("markets", 1), ("eos", 0), ("eos", 1), ("grid",)]

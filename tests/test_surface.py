@@ -1,6 +1,7 @@
 """Grid sampling, iso-curves, collapse checks, and deterministic exports."""
 
 import json
+import math
 import sys
 
 import jsonschema
@@ -28,6 +29,7 @@ from market_eos import (
     render_json,
     sample_surface,
 )
+from market_eos.surface import MAX_GRID_POINTS
 
 UNIT_EOS = derive_unitary_eos(
     MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)
@@ -114,6 +116,13 @@ def test_isoprice_collapse_canonical_market():
     assert report.points[0] == (32.0, 8.0)
 
 
+def test_isoprice_collapse_rejects_an_overflowing_cleared_state():
+    # k_s / 1e-320 overflows: the cleared state is (inf, inf), not a point on the line
+    market = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)
+    with pytest.raises(DomainError, match=r"price 1e-320 gives a non-finite cleared state"):
+        isoprice_collapse_check(market, [1.0, 1e-320])
+
+
 def test_isoprice_slope_is_one_for_single_household():
     market = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0))
     assert isoprice_collapse_check(market, [1.0, 3.0]).line_slope == 1.0
@@ -190,6 +199,19 @@ def test_grid_spec_invariants():
         GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=float("nan"), t_max=2.0, nt=2)
 
 
+def test_point_limit_is_checked_before_any_axis_is_built():
+    limit = MAX_GRID_POINTS
+    GridSpec(x_min=1.0, x_max=2.0, nx=limit // 2, t_min=1.0, t_max=2.0, nt=2)
+    with pytest.raises(InvariantError, match="exceeds the limit"):
+        GridSpec(x_min=1.0, x_max=2.0, nx=limit // 2 + 1, t_min=1.0, t_max=2.0, nt=2)
+    with pytest.raises(InvariantError, match="exceeds the limit"):
+        GridSpec(x_min=1.0, x_max=2.0, nx=10**12, t_min=1.0, t_max=2.0, nt=10**12)
+    with pytest.raises(DomainError, match="exceed the limit"):
+        isocurves(UNIT_EOS, [1.0, 2.0], (1.0, 5.0), limit // 2 + 1)
+    with pytest.raises(DomainError, match="exceed the limit"):
+        isocurves(UNIT_EOS, [1.0], (1.0, 5.0), 10**12)
+
+
 def test_isocurve_argument_errors():
     with pytest.raises(DomainError):
         isocurves(UNIT_EOS, [1.0], (1.0, 5.0), 1)
@@ -199,11 +221,20 @@ def test_isocurve_argument_errors():
         isocurves(UNIT_EOS, [], (1.0, 5.0), 4)
 
 
-class _NanResidual(IdealGasEoS):
-    """A surface whose residual is NaN: an audit written as ``r > bound`` passes it."""
+class _RowOffBy64Ulp(IdealGasEoS):
+    """A surface whose closed-form rows are 64 ULP above the implicit form they report."""
 
-    def residual(self, x, y, t):
-        return float("nan")
+    def rows(self, xs, ts):
+        for ys, ws, rs in super().rows(xs, ts):
+            yield [y + 64 * math.ulp(y) for y in ys], ws, rs
+
+
+class _NanImplicitForm(IdealGasEoS):
+    """A surface whose implicit form is NaN: an audit written as ``gap > bound`` passes it."""
+
+    def rows(self, xs, ts):
+        for ys, ws, rs in super().rows(xs, ts):
+            yield ys, ws, [math.nan] * len(rs)
 
 
 def test_non_finite_points_fail_the_audit():
@@ -217,8 +248,17 @@ def test_non_finite_points_fail_the_audit():
         sample_surface(CurieParamagnetEoS(D=1.0), wide)
     with pytest.raises(DomainError, match="grid t value nan is not finite"):
         isocurves(IdealGasEoS(), [300.0, float("nan")], (0.01, 0.1), 4)
-    with pytest.raises(InvariantError, match="fails its residual audit"):
-        sample_surface(_NanResidual(), GRID_2X2)
+    for surface in (_RowOffBy64Ulp(), _NanImplicitForm()):
+        with pytest.raises(InvariantError, match="fails its residual audit"):
+            sample_surface(surface, GRID_2X2)
+
+
+def test_subnormal_points_are_rejected_even_when_exact():
+    # y = t / x = 2**-1023 exactly: on its implicit form, but with 52 significant bits
+    gas = IdealGasEoS(n=1.0, R=1.0)
+    grid = GridSpec(x_min=2.0**1023, x_max=1.5 * 2.0**1023, nx=2, t_min=1.0, t_max=2.0, nt=2)
+    with pytest.raises(DomainError, match=r"grid point \(x=8\.98846567431158e\+307, t=1\.0\) underflows"):
+        sample_surface(gas, grid)
 
 
 def _per_point_csv(header, rows):
@@ -261,3 +301,16 @@ def test_renderers_match_stdlib_and_per_point_reference(case):
     family = isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx)
     rows = [(t, x, y) for t, curve in zip(family.t_values, family.curves) for x, y in curve]
     assert render_csv(family) == _per_point_csv("t,x,y", rows)
+
+
+@given(_exponent_form_grids())
+def test_rows_match_per_point_closed_form(case):
+    eos, grid = case
+    xs, ts = grid.x_values(), grid.t_values()
+    reference = _bits([eos.y_of(x, t) for x in xs] for t in ts)
+    assert _bits(sample_surface(eos, grid).y_rows) == reference
+    assert _bits(isocurves(eos, ts, (grid.x_min, grid.x_max), grid.nx).y_rows) == reference
+
+
+def _bits(rows):
+    return [[y.hex() for y in ys] for ys in rows]
