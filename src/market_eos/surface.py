@@ -18,10 +18,12 @@ at a time. Every point is audited against its implicit form, which does
 not repeat the division that produced y: ``|y*w - r|`` must be at most
 ``AUDIT_EPS`` machine epsilons of ``|r|`` plus ``AUDIT_EPS`` subnormal
 ULPs. A product that overflows while y is finite is compared again
-with x and t scaled by one power of two, which every surface allows:
-each depends on x and t only through their ratio. A non-finite y, a
-subnormal y or one that underflowed to zero (too few significant bits),
-and a grid of more than ``MAX_GRID_POINTS`` points are rejected.
+with x and t scaled down by the overflow excess, a power of two, which
+every surface allows: each depends on x and t only through their ratio.
+A non-finite y, a subnormal y, a zero y where x is not zero (each
+surface is zero exactly where x is, so that y underflowed), and a grid
+of more than ``MAX_GRID_POINTS`` points are rejected. Errors name the
+first failing point in (t, x) order.
 
 Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
@@ -35,7 +37,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from .curves import UnitaryDemand
@@ -163,38 +165,54 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _row_passes(ys: list[float], ws: list[float], rs: list[float]) -> bool:
-    """No y is subnormal and every ``y * w`` is within the audit bound of ``r``.
+def _row_passes(xs: list[float], ys: list[float], ws: list[float], rs: list[float]) -> bool:
+    """Every y is normal, or zero where its x is, and every ``y * w`` is within the audit bound of ``r``.
 
-    Written so that a NaN anywhere fails it. The subnormal scan is
-    skipped when every y is normal and of one sign, and the audit lists
-    its failures, which runs faster than ``all`` over a generator.
+    Each surface is zero exactly where x is, so a zero y anywhere else
+    has underflowed. Written so that a NaN anywhere fails it. The scan
+    for small y is skipped when every y is normal and of one sign, and
+    the audit lists its failures, which runs faster than ``all`` over a
+    generator.
     """
     one_signed_normal = min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN
-    if not one_signed_normal and min(filter(None, map(abs, ys)), default=_DBL_MIN) < _DBL_MIN:
+    if not one_signed_normal and any(abs(y) < _DBL_MIN and (y or x) for x, y in zip(xs, ys)):
         return False
     return not [y for y, w, r in zip(ys, ws, rs) if not abs(y * w - r) <= _AUDIT_REL * abs(r) + _AUDIT_ABS]
 
 
 def _audit_point(eos, x: float, y: float, t: float, w: float, r: float) -> None:
-    """Raise unless y is finite, normal or exactly zero, and on its implicit form ``y * w == r``."""
+    """Raise unless y is finite, normal or zero where x is, and on its implicit form ``y * w == r``."""
     if not math.isfinite(y):
         raise DomainError(f"grid point (x={x}, t={t}) gives non-finite y={y}")
-    if _row_passes([y], [w], [r]):
+    if _row_passes([x], [y], [w], [r]):
         return
-    if abs(y) < _DBL_MIN:
+    if abs(y) < _DBL_MIN and (y or x):
         raise DomainError(f"grid point (x={x}, t={t}) underflows: y={y} is below the smallest normal double")
     if math.isinf(y * w) or math.isinf(r):
         # y depends on x/t alone, so scaling both by 2**-k keeps y and
-        # scales each side exactly, to where neither overflows
-        k = max(math.frexp(x)[1], math.frexp(t)[1])
-        [(ys, ws, rs)] = eos.rows([math.ldexp(x, -k)], [math.ldexp(t, -k)])
-        if ys == [y] and _row_passes(ys, ws, rs):
+        # scales each side exactly. k is the overflow excess of y * w,
+        # small enough that the scaled x and t stay normal.
+        k = max(1, math.frexp(y)[1] + math.frexp(w)[1] - 1022)
+        x_k, t_k = math.ldexp(x, -k), math.ldexp(t, -k)
+        [(ys, ws, rs)] = eos.rows([x_k], [t_k])
+        if ys == [y] and _row_passes([x_k], ys, ws, rs):
             return
     raise InvariantError(
         f"emitted point (x={x}, t={t}, y={y}) fails its residual audit: "
         f"the implicit form gives {y * w!r} against {r!r}"
     )
+
+
+def _first_outside(eos, points) -> tuple[int | None, DomainError | None]:
+    """Index of the first ``(x, t)`` of ``points`` outside the domain and its error, or ``(None, None)``."""
+    for i, (x, t) in enumerate(points):
+        try:
+            eos.y_of(x, t)
+        except DomainError as exc:
+            error = DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {exc}")
+            error.__cause__ = exc
+            return i, error
+    return None, None
 
 
 def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ...], ...]:
@@ -203,24 +221,29 @@ def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ..
     Linear spacing can round past the double range between finite
     bounds, and isocurve t values come from the caller, so each axis
     value is checked once before sampling. The domain is a condition on
-    x and one on t, so ``y_of`` along the first row, then down the
-    first column, meets the first point outside it in (t, x) order.
+    x and one on t: along the first row ``y_of`` meets the first x
+    outside it, and if there is none, down the first column the first t.
+    Only the points before that one are sampled, so every error names
+    the first failing point in (t, x) order.
     """
     for axis, values in (("x", xs), ("t", ts)):
         for value in values:
             if not math.isfinite(value):
                 raise DomainError(f"grid {axis} value {value} is not finite")
-    for x, t in chain(zip(xs, repeat(ts[0])), zip(repeat(xs[0]), ts)):
-        try:
-            eos.y_of(x, t)
-        except DomainError as exc:
-            raise DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {exc}") from exc
+    stop, outside = _first_outside(eos, zip(xs, repeat(ts[0])))
+    if outside is None:
+        stop, outside = _first_outside(eos, zip(repeat(xs[0]), ts))
+        ts = ts[:stop]
+    else:
+        xs, ts = xs[:stop], ts[:1] if stop else []
     y_rows = []
     for t, (ys, ws, rs) in zip(ts, eos.rows(xs, ts)):
-        if not _row_passes(ys, ws, rs):
+        if not _row_passes(xs, ys, ws, rs):
             for x, y, w, r in zip(xs, ys, ws, rs):
                 _audit_point(eos, x, y, t, w, r)
         y_rows.append(tuple(ys))
+    if outside is not None:
+        raise outside
     return tuple(y_rows)
 
 
@@ -307,7 +330,7 @@ def isoprice_collapse_check(
 
     n = market.households
     points = []
-    deviations = []
+    max_rel = 0.0
     for pr in prices:
         q_d = market.demand.quantity(pr)
         q_s = n * q_d
@@ -315,14 +338,14 @@ def isoprice_collapse_check(
             raise DomainError(f"price {pr} gives a non-finite cleared state (Q_s={q_s}, q_d={q_d})")
         line_y = q_s / n
         scale = max(abs(q_d), abs(line_y), 1.0e-300)
-        deviations.append(abs(q_d - line_y) / scale)
+        max_rel = max(max_rel, abs(q_d - line_y) / scale)
         points.append((q_s, q_d))
     return IsopriceCollapseReport(
         line_slope=1.0 / n,
         prices=tuple(prices),
         points=tuple(points),
-        max_rel_deviation=max(deviations),
-        collapse=all(d <= rel_tol for d in deviations),
+        max_rel_deviation=max_rel,
+        collapse=max_rel <= rel_tol,
     )
 
 

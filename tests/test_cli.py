@@ -265,16 +265,22 @@ def test_surface_grid_over_the_point_limit_exits_2(config_path, capsys):
     assert "exceed the limit of 4000000" in err
 
 
-def test_surface_near_the_largest_double_exports_every_point(config_path, capsys, tmp_path):
-    # M*T and (D/mu0)*B0 overflow wherever B0 > DBL_MAX/2, about half the grid, while M stays finite
+@pytest.mark.parametrize(
+    "x_min, x_max, t_min, t_max",
+    [(1e307, 1.7e308, 4.0, 8.0), (1e307, 1.7e308, 2.0, 4.0), (9e307, 1.1e308, 1.25, 4.0)],
+)
+def test_surface_near_the_largest_double_exports_every_point(config_path, capsys, tmp_path, x_min, x_max, t_min, t_max):
+    # M*T and (D/mu0)*B0 overflow wherever B0 > DBL_MAX/2 while M stays finite; below t = 4
+    # the audit's rescaled t must stay a normal double to keep every bit of M
     out_file = tmp_path / "magnet.csv"
+    bounds = ["--x-min", repr(x_min), "--x-max", repr(x_max), "--t-min", repr(t_min), "--t-max", repr(t_max)]
     code, _, _ = run(
-        capsys, "surface", "--config", config_path, "magnet", "--nx", "50", "--nt", "50",
-        "--x-min", "1e307", "--x-max", "1.7e308", "--t-min", "4", "--t-max", "8", "--out", str(out_file),
+        capsys, "surface", "--config", config_path, "magnet", "--nx", "50", "--nt", "50", *bounds,
+        "--out", str(out_file),
     )
     assert code == 0
     magnet = CurieParamagnetEoS(D=2.0)
-    grid = GridSpec(x_min=1e307, x_max=1.7e308, nx=50, t_min=4.0, t_max=8.0, nt=50)
+    grid = GridSpec(x_min=x_min, x_max=x_max, nx=50, t_min=t_min, t_max=t_max, nt=50)
     expected = "x,t,y\n" + "".join(
         f"{x:.17g},{t:.17g},{magnet.y_of(x, t):.17g}\n" for t in grid.t_values() for x in grid.x_values()
     )

@@ -261,6 +261,28 @@ def test_subnormal_points_are_rejected_even_when_exact():
         sample_surface(gas, grid)
 
 
+def test_zero_points_are_rejected_where_x_is_not_zero():
+    # each surface is zero exactly where x is: a zero y anywhere else has underflowed
+    with pytest.raises(DomainError, match=r"grid point \(x=1\.0, t=5e-324\) underflows: y=0\.0"):
+        sample_surface(IdealGasEoS(n=0.01), GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=5e-324, t_max=1e-323, nt=2))
+    with pytest.raises(DomainError, match=r"grid point \(x=5e-324, t=64\.0\) underflows: y=0\.0"):
+        sample_surface(UNIT_EOS, GridSpec(x_min=5e-324, x_max=1e-323, nx=2, t_min=64.0, t_max=128.0, nt=2))
+    across_zero = GridSpec(x_min=-1.0, x_max=1.0, nx=3, t_min=1.0, t_max=2.0, nt=2)
+    assert sample_surface(UNIT_EOS, across_zero).y_rows == ((-1.0, 0.0, 1.0), (-0.5, 0.0, 0.5))
+    assert sample_surface(CurieParamagnetEoS(D=2.0), across_zero).y_rows == ((-2.0, 0.0, 2.0), (-1.0, 0.0, 1.0))
+
+
+def test_errors_name_the_first_failing_point_for_unsorted_t_values():
+    # the first curve overflows before the later t = -1 leaves the domain
+    magnet = CurieParamagnetEoS(D=2.0)
+    with pytest.raises(DomainError, match=r"grid point \(x=1\.7e\+308, t=1\.0\) gives non-finite y=inf"):
+        isocurves(magnet, [1.0, -1.0], (1.0, 1.7e308), 2)
+    with pytest.raises(DomainError, match=r"grid point \(x=1\.0, t=-1\.0\) outside the surface domain"):
+        isocurves(magnet, [2.0, -1.0, 1.0], (1.0, 1.7e308), 2)
+    with pytest.raises(DomainError, match=r"grid point \(x=1\.0, t=1e-300\) underflows"):
+        isocurves(IdealGasEoS(n=1e-10), [1e-300, 1.0, 0.0], (1e-300, 1.0), 2)
+
+
 def _per_point_csv(header, rows):
     """The renderer's reference: every value formatted on its own."""
     lines = [header] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
