@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -27,10 +28,11 @@ from .surface import (
     family_collapse,
     isocurves,
     isoprice_collapse_check,
-    render_csv,
-    render_json,
+    render_chunks,
     sample_surface,
 )
+# render_csv and render_json are not called here; perfbench's tracer wraps them as cli.render_*
+from .surface import render_csv, render_json  # noqa: F401
 # rank_markets is not called here; perfbench's tracer wraps it as cli.rank_markets
 from .zeroth_law import rank_markets, verify_equivalence_laws  # noqa: F401
 
@@ -65,11 +67,13 @@ def _resolve_out(args, cfg: ConfigDocument) -> Path | None:
     return Path(base) / out if base else out
 
 
-def _emit(text: str, out_path: Path | None) -> None:
+def _emit(chunks: Iterable[str], out_path: Path | None) -> None:
+    """Write ``chunks`` one at a time to stdout, or to ``out_path`` and then name it."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        out_path.write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
         print(f"wrote {out_path}")
 
 
@@ -131,14 +135,14 @@ def cmd_solve(args) -> int:
 def cmd_consistency(args) -> int:
     cfg = load_config(args.config)
     report = check_linear_consistency(cfg.market(args.market))
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", _resolve_out(args, cfg))
+    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], _resolve_out(args, cfg))
     return 0
 
 
 def cmd_eos(args) -> int:
     cfg = load_config(args.config)
     eos = derive_unitary_eos(cfg.market(args.market))
-    _emit(json.dumps(eos.to_dict(), indent=2) + "\n", _resolve_out(args, cfg))
+    _emit([json.dumps(eos.to_dict(), indent=2) + "\n"], _resolve_out(args, cfg))
     print(f"K={_fmt(eos.K)} amplification={_fmt(amplification_factor(eos))} (D/mu0 analogue)")
     return 0
 
@@ -148,8 +152,7 @@ def cmd_surface(args) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     grid = _resolve_grid(args, cfg)
     sampled = sample_surface(eos, grid)
-    text = render_csv(sampled) if args.format == "csv" else render_json(sampled)
-    _emit(text, _resolve_out(args, cfg))
+    _emit(render_chunks(sampled, args.format), _resolve_out(args, cfg))
     return 0
 
 
@@ -163,8 +166,7 @@ def cmd_isocurves(args) -> int:
     if x_lo is None or x_hi is None or n_points is None:
         raise ConfigError("x range is set neither in the config grid nor on the command line")
     family = isocurves(eos, t_values, (x_lo, x_hi), n_points)
-    text = render_csv(family) if args.format == "csv" else render_json(family)
-    _emit(text, _resolve_out(args, cfg))
+    _emit(render_chunks(family, args.format), _resolve_out(args, cfg))
     verdict = family_collapse(family)
     print(f"curves={verdict.n_curves} collapse={str(verdict.collapse).lower()}")
     return 0
@@ -177,7 +179,7 @@ def cmd_collapse(args) -> int:
     report = isoprice_collapse_check(market, prices)
     out_path = _resolve_out(args, cfg)
     if out_path is not None:
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", out_path)
+        _emit([json.dumps(report.to_dict(), indent=2) + "\n"], out_path)
     print(
         f"collapse={str(report.collapse).lower()} slope=1/{market.households} "
         f"max_rel_deviation={_fmt(report.max_rel_deviation)}"

@@ -11,6 +11,7 @@ analytic path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
@@ -29,6 +30,8 @@ RESIDUAL_REL = 1e-9
 PRICE_TOL = 1e-12
 
 _BRACKET_MAX_EXPONENT = 60
+
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,26 @@ def excess_demand(market: MarketSpec, pr: float) -> float:
     return aggregate_demand(market, pr) - market.supply.quantity(pr)
 
 
+def _sqrt_quotient(n: int, k_s: float, k_d: float) -> float:
+    """``sqrt(n * k_s / k_d)`` for positive finite ``k_s`` and ``k_d``.
+
+    Where the quotient is a normal double this is the direct formula.
+    Where it overflows or underflows, ``k_s`` and ``k_d`` are first
+    scaled into ``[0.5, 1)`` by powers of two, which the root takes back
+    out exactly, so the result is what the direct formula would give
+    with an unbounded exponent range, rounded once more only if it is
+    itself subnormal or overflows to ``inf``.
+    """
+    quotient = n * k_s / k_d
+    if _DBL_MIN <= quotient <= _DBL_MAX:
+        return math.sqrt(quotient)
+    (m_s, e_s), (m_d, e_d) = math.frexp(k_s), math.frexp(k_d)
+    half, odd = divmod(e_s - e_d, 2)
+    root = math.sqrt(math.ldexp(n * m_s / m_d, odd))
+    # two steps of at most 2**525 each: the first is exact, so only the last can round
+    return root * 2.0 ** (half // 2) * 2.0 ** (half - half // 2)
+
+
 def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
     """Closed-form clearing point for the supported curve pairings.
 
@@ -90,9 +113,9 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
     if isinstance(demand, LinearDemand):
         pr_star = demand.q_d0 / (supply.k_d - demand.k_s)
     elif market.interpretation == PER_HOUSEHOLD:
-        pr_star = math.sqrt(market.households * demand.k_s / supply.k_d)
+        pr_star = _sqrt_quotient(market.households, demand.k_s, supply.k_d)
     else:
-        pr_star = math.sqrt(demand.k_s / supply.k_d)
+        pr_star = _sqrt_quotient(1, demand.k_s, supply.k_d)
     if not (pr_star > 0 and math.isfinite(pr_star)):
         raise DomainError(f"clearing price {pr_star} is not a positive finite double")
     q_star = supply.quantity(pr_star)

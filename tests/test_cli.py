@@ -1,5 +1,6 @@
 """End-to-end command tests through cli.main, in-process except where a memory cap needs a child."""
 
+import filecmp
 import json
 import os
 import subprocess
@@ -9,7 +10,20 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from market_eos import CurieParamagnetEoS, GridSpec, cli, load_schema
+from market_eos import (
+    CurieParamagnetEoS,
+    GridSpec,
+    IdealGasEoS,
+    cli,
+    derive_unitary_eos,
+    isocurves,
+    load_config,
+    load_schema,
+    render_chunks,
+    render_csv,
+    render_json,
+    sample_surface,
+)
 
 CONFIG = {
     "version": "1",
@@ -114,6 +128,16 @@ def test_eos_command(config_path, capsys):
     assert doc["N"] == 4
 
 
+def test_eos_with_an_overflowing_price_quotient(tmp_path, capsys):
+    # N*k_s/k_d = 1e312 overflows, but the market clears at Pr* = 1e156 with K = 1e150
+    path = tmp_path / "wide.json"
+    wide = {"name": "wide", "family": "unitary", "k_s": 1e300, "k_d": 1e-6, "households": 1_000_000}
+    path.write_text(json.dumps({"version": "1", "markets": [wide]}), encoding="utf-8")
+    code, out, err = run(capsys, "eos", "--config", str(path), "wide")
+    assert code == 0, err
+    assert "K=1e+150 " in out
+
+
 def test_eos_rejects_linear(config_path, capsys):
     code, _, err = run(capsys, "eos", "--config", config_path, "staple")
     assert code == 3
@@ -121,9 +145,9 @@ def test_eos_rejects_linear(config_path, capsys):
 
 
 def test_eos_non_finite_surface_constant_exits_3(tmp_path, capsys):
-    # sqrt(1e308 / 1e-308) overflows; K must not be printed as Infinity
+    # K = sqrt(1e308 / 1e-310) = 1e309 overflows; K must not be printed as Infinity
     path = tmp_path / "huge.json"
-    huge = {"name": "huge", "family": "unitary", "k_s": 1e308, "k_d": 1e-308}
+    huge = {"name": "huge", "family": "unitary", "k_s": 1e308, "k_d": 1e-310}
     path.write_text(json.dumps({"version": "1", "markets": [huge]}), encoding="utf-8")
     code, out, err = run(capsys, "eos", "--config", str(path), "huge")
     assert code == 3
@@ -252,6 +276,38 @@ def test_surface_grid_too_large_for_memory_exits_3(tmp_path):
     assert result.stderr.startswith("error: out of memory")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux only")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_surface_export_streams_under_a_memory_cap(tmp_path, fmt):
+    # A 1000 x 1000 gas export is 56 MB as CSV and 87 MB as JSON. Written
+    # one row at a time it runs in about 55 MB; holding the whole text, as
+    # a single string or as one string per row, needs well over the cap.
+    import resource
+
+    limit = 110 * 1024 * 1024
+    config = dict(CONFIG, grid=dict(CONFIG["grid"], nx=1000, nt=1000))
+    path = tmp_path / "big_grid.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    capped = tmp_path / f"capped.{fmt}"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "market_eos.cli", "surface", "--config", str(path), "gas",
+         "--format", fmt, "--out", str(capped)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote {capped}\n"
+    reference = tmp_path / f"reference.{fmt}"
+    with open(reference, "w", encoding="utf-8") as out:
+        out.writelines(render_chunks(sample_surface(IdealGasEoS(n=1.0, R=8.314), GridSpec(**config["grid"])), fmt))
+    assert filecmp.cmp(capped, reference, shallow=False)
+
+
 def test_surface_grid_over_the_point_limit_exits_2(config_path, capsys):
     code, out, err = run(capsys, "surface", "--config", config_path, "gas", "--nx", "2001", "--nt", "2000")
     assert code == 2
@@ -347,6 +403,30 @@ def test_isocurves_gas_isotherms(config_path, capsys):
     assert code == 0
     assert "curves=2 collapse=false" in out
     assert out.splitlines()[0] == "t,x,y"
+
+
+@pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
+def test_streamed_exports_match_the_renderers_on_stdout_and_in_files(config_path, capsys, tmp_path, fmt, render):
+    grid = ["--x-min", "0.3", "--x-max", "7.1", "--nx", "7", "--t-min", "0.5", "--t-max", "9.25", "--nt", "5"]
+    curves = ["--t-values", "300,0.7,1e-3", "--x-min", "0.01", "--x-max", "0.1", "--points", "6"]
+    cfg = load_config(config_path)
+    surfaces = {**cfg.eos_entities, "credit": derive_unitary_eos(cfg.markets["credit"])}
+    for name, eos in surfaces.items():
+        sampled = sample_surface(eos, GridSpec(0.3, 7.1, 7, 0.5, 9.25, 5))
+        family = isocurves(eos, [300.0, 0.7, 1e-3], (0.01, 0.1), 6)
+        for argv, expected, verdict in (
+            (["surface", "--config", config_path, name, "--format", fmt, *grid], render(sampled), ""),
+            (["isocurves", "--config", config_path, name, "--format", fmt, *curves], render(family),
+             "curves=3 collapse=false\n"),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == expected + verdict
+            out_file = tmp_path / f"{name}.{fmt}"
+            code, out, _ = run(capsys, *argv, "--out", str(out_file))
+            assert code == 0
+            assert out == f"wrote {out_file}\n{verdict}"
+            assert out_file.read_bytes() == expected.encode("utf-8")
 
 
 def test_isocurves_empty_t_values_exits_2(config_path, capsys):

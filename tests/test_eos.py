@@ -130,7 +130,7 @@ def test_derive_rejects_aggregate_interpretation():
 
 
 def test_derive_rejects_non_finite_surface_constant(monkeypatch):
-    huge = unitary_market(1e308, 1e-308, 1)
+    huge = unitary_market(1e308, 1e-310, 1)  # K = Pr* = 1e309
     with pytest.raises(DomainError):
         derive_unitary_eos(huge)
     # the K*N identity check itself must fail when both sides are infinite

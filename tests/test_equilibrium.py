@@ -1,5 +1,9 @@
 """Clearing solvers: closed forms, the bisection oracle, and bracketing."""
 
+import math
+import sys
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,10 +99,10 @@ def test_auto_bracket_degenerate_intercept():
 @pytest.mark.parametrize(
     "market",
     [
-        # sqrt(1e308 / 1e-308) overflows to inf
-        MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-308)),
-        # 1e-308 / 1e308 underflows to 0
-        MarketSpec(demand=UnitaryDemand(k_s=1e-308), supply=LinearSupply(k_d=1e308)),
+        # sqrt(1e308 / 1e-310) = 1e309 is beyond the largest double
+        MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-310)),
+        # sqrt(4 * 1e308 / 1e-308) = 2e308 is beyond the largest double
+        MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-308), households=4),
         # k_d - k_s overflows, so q_d0 / (k_d - k_s) is 0
         MarketSpec(demand=LinearDemand(k_s=-1e308, q_d0=1.0), supply=LinearSupply(k_d=1e308)),
     ],
@@ -106,6 +110,54 @@ def test_auto_bracket_degenerate_intercept():
 def test_analytic_rejects_clearing_price_outside_positive_doubles(market):
     with pytest.raises(DomainError, match="not a positive finite double"):
         clearing_price_analytic(market)
+
+
+def _exact_unitary_price(k_s: float, k_d: float, n: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(n) * Decimal(k_s) / Decimal(k_d)).sqrt()
+
+
+@pytest.mark.parametrize(
+    "k_s, k_d, n, price",
+    [
+        (1e300, 1e-6, 1_000_000, 1e156),  # n * k_s / k_d = 1e312 overflows
+        (1e308, 1e-308, 1, 1e308),  # 1e616 overflows
+        (1e-308, 1e308, 1, 1e-308),  # 1e-616 underflows to 0; the price is subnormal
+        (1e-300, 1e10, 1, 1e-155),  # 1e-310 is subnormal, so its root has lost bits
+    ],
+)
+def test_analytic_rescales_a_quotient_outside_the_normal_range(k_s, k_d, n, price):
+    market = MarketSpec(demand=UnitaryDemand(k_s=k_s), supply=LinearSupply(k_d=k_d), households=n)
+    assert clearing_price_analytic(market).clearing_price == price
+
+
+positive_doubles = st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max)
+
+
+@given(k_s=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=10**9), agg=st.booleans())
+def test_analytic_unitary_price_is_the_direct_formula_wherever_its_quotient_is_normal(k_s, k_d, n, agg):
+    market = MarketSpec(
+        demand=UnitaryDemand(k_s=k_s),
+        supply=LinearSupply(k_d=k_d),
+        households=n,
+        interpretation="aggregate" if agg else "per-household",
+    )
+    n = 1 if agg else n
+    quotient = n * k_s / k_d
+    exact = _exact_unitary_price(k_s, k_d, n)
+    try:
+        price = clearing_price_analytic(market).clearing_price
+    except DomainError:
+        # only a root beyond the largest double is rejected
+        assert exact > Decimal(sys.float_info.max) * (1 - Decimal(2) ** -51)
+        return
+    if sys.float_info.min <= quotient <= sys.float_info.max:
+        direct = math.sqrt(k_s / k_d) if agg else math.sqrt(n * k_s / k_d)
+        assert price.hex() == direct.hex()
+    else:
+        # scaled by powers of two, the rounding is that of the direct formula with no exponent limit
+        assert abs(Decimal(price) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 def test_market_spec_invariants():

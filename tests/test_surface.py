@@ -20,11 +20,11 @@ from market_eos import (
     SurfaceGrid,
     UnitaryDemand,
     derive_unitary_eos,
-    export,
     family_collapse,
     isocurves,
     isoprice_collapse_check,
     load_schema,
+    render_chunks,
     render_csv,
     render_json,
     sample_surface,
@@ -171,14 +171,19 @@ def test_exports_are_deterministic():
     )
 
 
-def test_export_writes_files(tmp_path):
-    grid = sample_surface(UNIT_EOS, GRID_2X2)
-    csv_path = export(grid, "csv", tmp_path / "surface.csv")
-    assert csv_path.read_text(encoding="utf-8") == render_csv(grid)
-    json_path = export(grid, "json", tmp_path / "surface.json")
-    assert json.loads(json_path.read_text(encoding="utf-8")) == grid.to_dict()
-    with pytest.raises(DomainError):
-        export(grid, "xml", tmp_path / "surface.xml")
+def test_render_chunks_are_one_per_row_and_join_to_the_renderers():
+    grid = sample_surface(UNIT_EOS, GridSpec(x_min=1.0, x_max=2.0, nx=3, t_min=1.0, t_max=2.0, nt=4))
+    family = isocurves(UNIT_EOS, [1.0, 2.0, 4.0], (1.0, 2.0), 3)
+    for obj in (grid, family):
+        csv_chunks = list(render_chunks(obj, "csv"))
+        assert len(csv_chunks) == 1 + len(obj.t_values)  # header, then one per row
+        assert "".join(csv_chunks) == render_csv(obj)
+        json_chunks = list(render_chunks(obj, "json"))
+        assert len(json_chunks) == 2 + len(obj.t_values)  # head, one per row, tail
+        assert "".join(json_chunks) == render_json(obj)
+        assert json.loads(render_json(obj)) == obj.to_dict()
+    with pytest.raises(DomainError, match="unsupported export format 'xml'"):
+        render_chunks(grid, "xml")
 
 
 def test_domain_violation_names_offending_point():
@@ -321,6 +326,7 @@ def test_renderers_match_stdlib_and_per_point_reference(case):
     assert render_json(sampled) == json.dumps(sampled.to_dict(), indent=2) + "\n"
     assert render_csv(sampled) == _per_point_csv("x,t,y", sampled.points)
     family = isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx)
+    assert render_json(family) == json.dumps(family.to_dict(), indent=2) + "\n"
     rows = [(t, x, y) for t, curve in zip(family.t_values, family.curves) for x, y in curve]
     assert render_csv(family) == _per_point_csv("t,x,y", rows)
 
