@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -20,6 +19,7 @@ from typing import NoReturn
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
 from .equilibrium import MarketSpec
 from .errors import ConfigError, InvariantError
+from .record import Record, set_field
 from .reference_eos import CurieParamagnetEoS, IdealGasEoS
 from .surface import GridSpec
 from .zeroth_law import DEFAULT_QUANTUM, MarketRegistry
@@ -52,18 +52,26 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
-    """Validated configuration with domain objects already built."""
+class ConfigDocument(Record):
+    """Validated configuration with domain objects already built; ``source_path`` is not compared."""
 
-    version: str
-    markets: dict[str, MarketSpec]
-    goods: dict[str, str]
-    eos_entities: dict[str, IdealGasEoS | CurieParamagnetEoS]
-    grid: GridSpec | None = None
-    output_dir: str | None = None
-    quantum: float = DEFAULT_QUANTUM
-    source_path: Path | None = field(default=None, compare=False)
+    __slots__ = ("version", "markets", "goods", "eos_entities", "grid", "output_dir", "quantum", "source_path")
+
+    def __init__(self, version: str, markets: dict[str, MarketSpec], goods: dict[str, str],
+                 eos_entities: dict[str, IdealGasEoS | CurieParamagnetEoS], grid: GridSpec | None = None,
+                 output_dir: str | None = None, quantum: float = DEFAULT_QUANTUM,
+                 source_path: Path | None = None) -> None:
+        set_field(self, "version", version)
+        set_field(self, "markets", markets)
+        set_field(self, "goods", goods)
+        set_field(self, "eos_entities", eos_entities)
+        set_field(self, "grid", grid)
+        set_field(self, "output_dir", output_dir)
+        set_field(self, "quantum", quantum)
+        set_field(self, "source_path", source_path)
+
+    def _key(self) -> tuple:
+        return super()._key()[:-1]  # every field but source_path
 
     def market(self, name: str) -> MarketSpec:
         if name not in self.markets:

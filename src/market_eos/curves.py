@@ -14,13 +14,8 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import DomainError, InvariantError
-
-# Prices are plain nonnegative floats; operations that divide by price
-# require a strictly positive value.
-Price = float
+from .record import Record, set_field
 
 # Absolute tolerance for calling |E| == 1 "unitary"; the elasticity
 # arithmetic is a handful of float operations, so 1e-12 is generous.
@@ -44,8 +39,7 @@ def _require_positive_price(pr: float) -> None:
         raise DomainError(f"price must be positive, got {pr}")
 
 
-@dataclass(frozen=True)
-class LinearDemand:
+class LinearDemand(Record):
     """Demand linear in price: quantity = k_s * pr + q_d0.
 
     k_s is the slope in goods per currency unit (strictly negative),
@@ -53,21 +47,17 @@ class LinearDemand:
     curve starts at q_d0 for a free good and falls with price.
     """
 
-    k_s: float
-    q_d0: float
+    __slots__ = ("k_s", "q_d0")
 
-    def __post_init__(self) -> None:
-        if not (self.k_s < 0 and math.isfinite(self.k_s)):
-            raise InvariantError(f"linear demand slope k_s must be negative and finite, got {self.k_s}")
-        if not (self.q_d0 > 0 and math.isfinite(self.q_d0)):
-            raise InvariantError(f"demand intercept q_d0 must be positive and finite, got {self.q_d0}")
+    def __init__(self, k_s: float, q_d0: float) -> None:
+        if not (k_s < 0 and math.isfinite(k_s)):
+            raise InvariantError(f"linear demand slope k_s must be negative and finite, got {k_s}")
+        if not (q_d0 > 0 and math.isfinite(q_d0)):
+            raise InvariantError(f"demand intercept q_d0 must be positive and finite, got {q_d0}")
+        set_field(self, "k_s", k_s)
+        set_field(self, "q_d0", q_d0)
 
-    @property
-    def choke_price(self) -> float:
-        """Price at which demanded quantity reaches zero."""
-        return self.q_d0 / abs(self.k_s)
-
-    def quantity(self, pr: Price) -> float:
+    def quantity(self, pr: float) -> float:
         """Quantity demanded at price ``pr``, never clamped.
 
         Past the choke price the raw negative value is returned. Silent
@@ -77,33 +67,32 @@ class LinearDemand:
         _require_nonnegative_price(pr)
         return self.k_s * pr + self.q_d0
 
-    def slope(self, pr: Price) -> float:
+    def slope(self, pr: float) -> float:
         """Constant slope k_s; ``pr`` is accepted for interface symmetry."""
         _require_nonnegative_price(pr)
         return self.k_s
 
 
-@dataclass(frozen=True)
-class LinearSupply:
+class LinearSupply(Record):
     """Supply linear in price through the origin: quantity = k_d * pr."""
 
-    k_d: float
+    __slots__ = ("k_d",)
 
-    def __post_init__(self) -> None:
-        if not (self.k_d > 0 and math.isfinite(self.k_d)):
-            raise InvariantError(f"supply slope k_d must be positive and finite, got {self.k_d}")
+    def __init__(self, k_d: float) -> None:
+        if not (k_d > 0 and math.isfinite(k_d)):
+            raise InvariantError(f"supply slope k_d must be positive and finite, got {k_d}")
+        set_field(self, "k_d", k_d)
 
-    def quantity(self, pr: Price) -> float:
+    def quantity(self, pr: float) -> float:
         _require_nonnegative_price(pr)
         return self.k_d * pr
 
-    def slope(self, pr: Price) -> float:
+    def slope(self, pr: float) -> float:
         _require_nonnegative_price(pr)
         return self.k_d
 
 
-@dataclass(frozen=True)
-class UnitaryDemand:
+class UnitaryDemand(Record):
     """Unit-elastic demand: quantity = k_s / pr, so quantity * pr = k_s.
 
     k_s is in goods times currency units (strictly positive). The curve
@@ -111,26 +100,24 @@ class UnitaryDemand:
     every price.
     """
 
-    k_s: float
+    __slots__ = ("k_s",)
 
-    def __post_init__(self) -> None:
-        if not (self.k_s > 0 and math.isfinite(self.k_s)):
-            raise InvariantError(f"unitary demand coefficient k_s must be positive and finite, got {self.k_s}")
+    def __init__(self, k_s: float) -> None:
+        if not (k_s > 0 and math.isfinite(k_s)):
+            raise InvariantError(f"unitary demand coefficient k_s must be positive and finite, got {k_s}")
+        set_field(self, "k_s", k_s)
 
-    def quantity(self, pr: Price) -> float:
+    def quantity(self, pr: float) -> float:
         _require_positive_price(pr)
         return self.k_s / pr
 
-    def slope(self, pr: Price) -> float:
+    def slope(self, pr: float) -> float:
         """d(quantity)/d(price) = -k_s / pr**2."""
         _require_positive_price(pr)
         return -self.k_s / (pr * pr)
 
 
-Curve = LinearDemand | UnitaryDemand | LinearSupply
-
-
-def point_elasticity(curve: Curve, pr0: Price) -> float:
+def point_elasticity(curve: LinearDemand | UnitaryDemand | LinearSupply, pr0: float) -> float:
     """Point-price elasticity slope(pr0) * pr0 / quantity(pr0).
 
     Requires pr0 > 0 and a nonzero quantity at pr0;

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-
 from .curves import LinearDemand, UnitaryDemand
-from .equilibrium import PER_HOUSEHOLD, MarketSpec, clearing_price_analytic
+from .equilibrium import PER_HOUSEHOLD, MarketSpec, _sqrt_quotient, clearing_price_analytic
 from .errors import DomainError, InvariantError
-from .reference_eos import Row
+from .record import Record, set_field
+from .reference_eos import Row, _hoisted
 
 # The derived identity K * N == Pr* is exact algebra; allow only float
 # rounding when checking it at construction.
@@ -39,8 +38,7 @@ REAL = "real"
 IMAGINARY = "imaginary"
 
 
-@dataclass(frozen=True)
-class UnitaryEoS:
+class UnitaryEoS(Record):
     """Constraint surface q^d = K * Q^s / Pr for one unitary market.
 
     K is computed, never user-set, and is specific to the source
@@ -48,8 +46,11 @@ class UnitaryEoS:
     (the elasticity-normalized slope eps_s) and the household count.
     """
 
-    K: float
-    source_market: MarketSpec
+    __slots__ = ("K", "source_market")
+
+    def __init__(self, K: float, source_market: MarketSpec) -> None:
+        set_field(self, "K", K)
+        set_field(self, "source_market", source_market)
 
     @property
     def households(self) -> int:
@@ -67,7 +68,7 @@ class UnitaryEoS:
         """Per-household demand on the surface at supply x, price t."""
         if t <= 0:
             raise DomainError(f"price must be positive, got {t}")
-        return self.K * x / t
+        return _hoisted("K*x", self.K * x) / t
 
     def residual(self, x: float, y: float, t: float) -> float:
         """Signed distance y - K * x / t; zero means on-surface."""
@@ -99,8 +100,7 @@ class UnitaryEoS:
         }
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Outcome of the two-way elasticity determination for a linear market.
 
     ``eps_d_squared`` and ``eps_s_squared`` come from the curve
@@ -109,13 +109,18 @@ class ConsistencyReport:
     clashes with the always-real direct slope.
     """
 
-    eps_d_squared: float
-    eps_s_squared: float
-    eps_d_direct: float
-    classification_d: str
-    classification_s: str
-    consistent: bool
-    reason: str
+    __slots__ = ("eps_d_squared", "eps_s_squared", "eps_d_direct", "classification_d", "classification_s",
+                 "consistent", "reason")
+
+    def __init__(self, eps_d_squared: float, eps_s_squared: float, eps_d_direct: float,
+                 classification_d: str, classification_s: str, consistent: bool, reason: str) -> None:
+        set_field(self, "eps_d_squared", eps_d_squared)
+        set_field(self, "eps_s_squared", eps_s_squared)
+        set_field(self, "eps_d_direct", eps_d_direct)
+        set_field(self, "classification_d", classification_d)
+        set_field(self, "classification_s", classification_s)
+        set_field(self, "consistent", consistent)
+        set_field(self, "reason", reason)
 
     def to_dict(self) -> dict:
         return {
@@ -195,8 +200,9 @@ def check_linear_consistency(market: MarketSpec) -> ConsistencyReport:
 def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     """Constraint-surface constant K for a unitary market.
 
-    K = sqrt(k_s / (k_d * N)). Construction self-checks the derived
-    identity K * N == clearing price before returning.
+    K = sqrt(k_s / (k_d * N)), rescaled as the clearing price is where
+    the quotient is not a normal double. Construction self-checks the
+    derived identity K * N == clearing price before returning.
     """
     if not isinstance(market.demand, UnitaryDemand):
         raise TypeError(
@@ -208,11 +214,12 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
             "the constraint surface needs the per-household (intensive) demand reading; "
             f"market uses {market.interpretation!r}"
         )
-    k = math.sqrt(market.demand.k_s / (market.supply.k_d * market.households))
+    k_s, k_d, n = market.demand.k_s, market.supply.k_d, market.households
+    k = _sqrt_quotient(k_s / (k_d * n), k_s, k_d, 1 / n)
     pr_star = clearing_price_analytic(market).clearing_price
-    if not (abs(k * market.households - pr_star) <= EOS_SELF_CHECK_REL * pr_star):
+    if not (abs(k * n - pr_star) <= EOS_SELF_CHECK_REL * pr_star):
         raise InvariantError(
-            f"surface constant failed its identity check: K*N = {k * market.households} "
+            f"surface constant failed its identity check: K*N = {k * n} "
             f"but the clearing price is {pr_star}"
         )
     return UnitaryEoS(K=k, source_market=market)

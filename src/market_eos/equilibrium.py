@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
 from .errors import BracketingError, DomainError, InvariantError, UnsolvableMarketError
+from .record import Record, set_field
 
 # Ways to read a unitary demand coefficient when aggregating over
 # households: the coefficient belongs to each household (aggregate
@@ -34,35 +33,38 @@ _BRACKET_MAX_EXPONENT = 60
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 
 
-@dataclass(frozen=True)
-class MarketSpec:
+class MarketSpec(Record):
     """One market: a demand curve, a supply curve, N household buyers."""
 
-    demand: LinearDemand | UnitaryDemand
-    supply: LinearSupply
-    households: int = 1
-    interpretation: str = PER_HOUSEHOLD
+    __slots__ = ("demand", "supply", "households", "interpretation")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.demand, (LinearDemand, UnitaryDemand)):
-            raise InvariantError(f"demand must be a demand curve, got {type(self.demand).__name__}")
-        if not isinstance(self.supply, LinearSupply):
-            raise InvariantError(f"supply must be a supply curve, got {type(self.supply).__name__}")
-        if not (isinstance(self.households, int) and self.households >= 1):
-            raise InvariantError(f"households must be a positive integer, got {self.households!r}")
-        if self.interpretation not in (PER_HOUSEHOLD, AGGREGATE):
+    def __init__(self, demand: LinearDemand | UnitaryDemand, supply: LinearSupply, households: int = 1,
+                 interpretation: str = PER_HOUSEHOLD) -> None:
+        if not isinstance(demand, (LinearDemand, UnitaryDemand)):
+            raise InvariantError(f"demand must be a demand curve, got {type(demand).__name__}")
+        if not isinstance(supply, LinearSupply):
+            raise InvariantError(f"supply must be a supply curve, got {type(supply).__name__}")
+        if not (isinstance(households, int) and households >= 1):
+            raise InvariantError(f"households must be a positive integer, got {households!r}")
+        if interpretation not in (PER_HOUSEHOLD, AGGREGATE):
             raise InvariantError(
-                f"interpretation must be {PER_HOUSEHOLD!r} or {AGGREGATE!r}, got {self.interpretation!r}"
+                f"interpretation must be {PER_HOUSEHOLD!r} or {AGGREGATE!r}, got {interpretation!r}"
             )
+        set_field(self, "demand", demand)
+        set_field(self, "supply", supply)
+        set_field(self, "households", households)
+        set_field(self, "interpretation", interpretation)
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(Record):
     """Clearing price and quantity, plus the excess-demand residual there."""
 
-    clearing_price: float
-    clearing_quantity: float
-    residual: float = field(default=0.0)
+    __slots__ = ("clearing_price", "clearing_quantity", "residual")
+
+    def __init__(self, clearing_price: float, clearing_quantity: float, residual: float = 0.0) -> None:
+        set_field(self, "clearing_price", clearing_price)
+        set_field(self, "clearing_quantity", clearing_quantity)
+        set_field(self, "residual", residual)
 
 
 def aggregate_demand(market: MarketSpec, pr: float) -> float:
@@ -82,17 +84,16 @@ def excess_demand(market: MarketSpec, pr: float) -> float:
     return aggregate_demand(market, pr) - market.supply.quantity(pr)
 
 
-def _sqrt_quotient(n: int, k_s: float, k_d: float) -> float:
-    """``sqrt(n * k_s / k_d)`` for positive finite ``k_s`` and ``k_d``.
+def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float = 1) -> float:
+    """``sqrt(n * k_s / k_d)`` for positive finite ``k_s``, ``k_d`` and ``n``.
 
-    Where the quotient is a normal double this is the direct formula.
-    Where it overflows or underflows, ``k_s`` and ``k_d`` are first
-    scaled into ``[0.5, 1)`` by powers of two, which the root takes back
-    out exactly, so the result is what the direct formula would give
+    Where ``quotient``, the caller's float value of it, is a normal
+    double this is ``sqrt(quotient)``. Elsewhere ``k_s`` and ``k_d`` are
+    first scaled into ``[0.5, 1)`` by powers of two, which the root takes
+    back out exactly, so the result is what the direct formula would give
     with an unbounded exponent range, rounded once more only if it is
     itself subnormal or overflows to ``inf``.
     """
-    quotient = n * k_s / k_d
     if _DBL_MIN <= quotient <= _DBL_MAX:
         return math.sqrt(quotient)
     (m_s, e_s), (m_d, e_d) = math.frexp(k_s), math.frexp(k_d)
@@ -112,10 +113,9 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
     demand, supply = market.demand, market.supply
     if isinstance(demand, LinearDemand):
         pr_star = demand.q_d0 / (supply.k_d - demand.k_s)
-    elif market.interpretation == PER_HOUSEHOLD:
-        pr_star = _sqrt_quotient(market.households, demand.k_s, supply.k_d)
     else:
-        pr_star = _sqrt_quotient(1, demand.k_s, supply.k_d)
+        n = market.households if market.interpretation == PER_HOUSEHOLD else 1
+        pr_star = _sqrt_quotient(n * demand.k_s / supply.k_d, demand.k_s, supply.k_d, n)
     if not (pr_star > 0 and math.isfinite(pr_star)):
         raise DomainError(f"clearing price {pr_star} is not a positive finite double")
     q_star = supply.quantity(pr_star)

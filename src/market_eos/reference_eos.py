@@ -9,10 +9,11 @@ comparison tooling treat all three interchangeably.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
+from .record import Record, set_field
 
 GAS_CONSTANT = 8.314
 
@@ -20,18 +21,25 @@ GAS_CONSTANT = 8.314
 Row = tuple[list[float], list[float], list[float]]
 
 
-@dataclass(frozen=True)
-class IdealGasEoS:
+def _hoisted(name: str, c: float) -> float:
+    """``c``, the constant a closed form hoists, unless it is subnormal and y would lose its bits."""
+    if 0 < abs(c) < sys.float_info.min:
+        raise DomainError(f"{name} = {c!r} is below the smallest normal double")
+    return c
+
+
+class IdealGasEoS(Record):
     """P * V = n * R * T for n moles of ideal gas."""
 
-    n: float = 1.0
-    R: float = GAS_CONSTANT
+    __slots__ = ("n", "R")
 
-    def __post_init__(self) -> None:
-        if not (self.n > 0 and math.isfinite(self.n)):
-            raise InvariantError(f"amount of substance n must be positive and finite, got {self.n}")
-        if not (self.R > 0 and math.isfinite(self.R)):
-            raise InvariantError(f"gas constant R must be positive and finite, got {self.R}")
+    def __init__(self, n: float = 1.0, R: float = GAS_CONSTANT) -> None:
+        if not (n > 0 and math.isfinite(n)):
+            raise InvariantError(f"amount of substance n must be positive and finite, got {n}")
+        if not (R > 0 and math.isfinite(R)):
+            raise InvariantError(f"gas constant R must be positive and finite, got {R}")
+        set_field(self, "n", n)
+        set_field(self, "R", R)
 
     def axis_labels(self) -> tuple[str, str, str]:
         return ("V", "P", "T")
@@ -42,7 +50,7 @@ class IdealGasEoS:
             raise DomainError(f"temperature must be positive, got {t}")
         if x <= 0:
             raise DomainError(f"volume must be positive, got {x}")
-        return self.n * self.R * t / x
+        return _hoisted("n*R*t", self.n * self.R * t) / x
 
     def residual(self, x: float, y: float, t: float) -> float:
         return y - self.y_of(x, t)
@@ -59,22 +67,22 @@ class IdealGasEoS:
             yield [c / x for x in xs], xs, [c] * len(xs)
 
 
-@dataclass(frozen=True)
-class CurieParamagnetEoS:
+class CurieParamagnetEoS(Record):
     """M = (D / mu0) * (B0 / T): Curie-law paramagnet.
 
     D is the Curie constant of the material; mu0 defaults to 1 for a
     unit-free treatment and can be set to the physical permeability.
     """
 
-    D: float
-    mu0: float = 1.0
+    __slots__ = ("D", "mu0")
 
-    def __post_init__(self) -> None:
-        if not (self.D > 0 and math.isfinite(self.D)):
-            raise InvariantError(f"Curie constant D must be positive and finite, got {self.D}")
-        if not (self.mu0 > 0 and math.isfinite(self.mu0)):
-            raise InvariantError(f"permeability mu0 must be positive and finite, got {self.mu0}")
+    def __init__(self, D: float, mu0: float = 1.0) -> None:
+        if not (D > 0 and math.isfinite(D)):
+            raise InvariantError(f"Curie constant D must be positive and finite, got {D}")
+        if not (mu0 > 0 and math.isfinite(mu0)):
+            raise InvariantError(f"permeability mu0 must be positive and finite, got {mu0}")
+        set_field(self, "D", D)
+        set_field(self, "mu0", mu0)
 
     def axis_labels(self) -> tuple[str, str, str]:
         return ("B0", "M", "T")
@@ -83,7 +91,7 @@ class CurieParamagnetEoS:
         """Magnetization at applied field x and temperature t."""
         if t <= 0:
             raise DomainError(f"temperature must be positive, got {t}")
-        return (self.D / self.mu0) * (x / t)
+        return _hoisted("D/mu0", self.D / self.mu0) * (x / t)
 
     def residual(self, x: float, y: float, t: float) -> float:
         return y - self.y_of(x, t)

@@ -6,7 +6,9 @@ market surface, the ideal gas and the Curie paramagnet.
 - ``axis_labels()`` names the x, y and t axes.
 - ``y_of(x, t)`` is the closed form at one point. It raises
   ``DomainError`` outside the domain, which is a condition on x and a
-  condition on t.
+  condition on t. It leaves out points whose hoisted constant
+  (``n*R*t``, ``D/mu0``, ``K*x``) is subnormal: the audit below would
+  compare against that same constant and miss the bits it lost.
 - ``residual(x, y, t)`` is ``y - y_of(x, t)``.
 - ``rows(xs, ts)`` yields, per t, the closed form over ``xs`` with its
   constants hoisted and the same bits as ``y_of``, plus the two sides of
@@ -41,12 +43,12 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
 from .errors import DomainError, InvariantError
+from .record import Record, set_field
 
 # Audit bound in machine epsilons (relative) and subnormal ULPs
 # (absolute). Rounding leaves at most about two epsilons between the
@@ -67,31 +69,29 @@ MAX_GRID_POINTS = 4_000_000
 COLLAPSE_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Rectangular sampling grid with finite bounds, linear spacing in both directions."""
 
-    x_min: float
-    x_max: float
-    nx: int
-    t_min: float
-    t_max: float
-    nt: int
+    __slots__ = ("x_min", "x_max", "nx", "t_min", "t_max", "nt")
 
-    def __post_init__(self) -> None:
-        for name in ("x_min", "x_max", "t_min", "t_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvariantError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.x_min < self.x_max:
-            raise InvariantError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if not self.t_min < self.t_max:
-            raise InvariantError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
-        if self.nx < 2 or self.nt < 2:
-            raise InvariantError(f"need nx >= 2 and nt >= 2, got nx={self.nx}, nt={self.nt}")
-        if self.nx * self.nt > MAX_GRID_POINTS:
-            raise InvariantError(
-                f"grid of nx*nt = {self.nx * self.nt} points exceeds the limit of {MAX_GRID_POINTS}"
-            )
+    def __init__(self, x_min: float, x_max: float, nx: int, t_min: float, t_max: float, nt: int) -> None:
+        for name, value in (("x_min", x_min), ("x_max", x_max), ("t_min", t_min), ("t_max", t_max)):
+            if not math.isfinite(value):
+                raise InvariantError(f"{name} must be finite, got {value}")
+        if not x_min < x_max:
+            raise InvariantError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+        if not t_min < t_max:
+            raise InvariantError(f"need t_min < t_max, got [{t_min}, {t_max}]")
+        if nx < 2 or nt < 2:
+            raise InvariantError(f"need nx >= 2 and nt >= 2, got nx={nx}, nt={nt}")
+        if nx * nt > MAX_GRID_POINTS:
+            raise InvariantError(f"grid of nx*nt = {nx * nt} points exceeds the limit of {MAX_GRID_POINTS}")
+        set_field(self, "x_min", x_min)
+        set_field(self, "x_max", x_max)
+        set_field(self, "nx", nx)
+        set_field(self, "t_min", t_min)
+        set_field(self, "t_max", t_max)
+        set_field(self, "nt", nt)
 
     def x_values(self) -> list[float]:
         return _linspace(self.x_min, self.x_max, self.nx)
@@ -100,69 +100,40 @@ class GridSpec:
         return _linspace(self.t_min, self.t_max, self.nt)
 
 
-def _check_rows(x_values: tuple, t_values: tuple, y_rows: tuple) -> None:
+def _set_rows(obj: Record, x_values: tuple, t_values: tuple, y_rows: tuple) -> None:
     if not x_values or not t_values:
         raise InvariantError("need at least one x value and one t value")
     if len(y_rows) != len(t_values) or any(len(ys) != len(x_values) for ys in y_rows):
         raise InvariantError(f"need {len(t_values)} rows of {len(x_values)} y values, one per t value")
+    set_field(obj, "x_values", x_values)
+    set_field(obj, "t_values", t_values)
+    set_field(obj, "y_rows", y_rows)
 
 
-@dataclass(frozen=True)
-class SurfaceGrid:
+class SurfaceGrid(Record):
     """Sampled surface in rows: ``y_rows[j][i]`` is y at ``(x_values[i], t_values[j])``."""
 
-    x_label: str
-    y_label: str
-    t_label: str
-    x_values: tuple[float, ...]
-    t_values: tuple[float, ...]
-    y_rows: tuple[tuple[float, ...], ...]
+    __slots__ = ("x_label", "y_label", "t_label", "x_values", "t_values", "y_rows")
 
-    def __post_init__(self) -> None:
-        _check_rows(self.x_values, self.t_values, self.y_rows)
-
-    @property
-    def points(self) -> tuple[tuple[float, float, float], ...]:
-        """(x, t, y) triples, row-major in t then x; built on each access."""
-        return tuple(
-            (x, t, y)
-            for t, ys in zip(self.t_values, self.y_rows)
-            for x, y in zip(self.x_values, ys)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-            "t_label": self.t_label,
-            "points": [list(p) for p in self.points],
-        }
+    def __init__(self, x_label: str, y_label: str, t_label: str, x_values: tuple[float, ...],
+                 t_values: tuple[float, ...], y_rows: tuple[tuple[float, ...], ...]) -> None:
+        set_field(self, "x_label", x_label)
+        set_field(self, "y_label", y_label)
+        set_field(self, "t_label", t_label)
+        _set_rows(self, x_values, t_values, y_rows)
 
 
-@dataclass(frozen=True)
-class IsocurveFamily:
+class IsocurveFamily(Record):
     """One curve per fixed t value over a shared, strictly increasing x axis.
 
     ``y_rows[j][i]`` is y at ``(x_values[i], t_values[j])``.
     """
 
-    x_values: tuple[float, ...]
-    t_values: tuple[float, ...]
-    y_rows: tuple[tuple[float, ...], ...]
+    __slots__ = ("x_values", "t_values", "y_rows")
 
-    def __post_init__(self) -> None:
-        _check_rows(self.x_values, self.t_values, self.y_rows)
-
-    @property
-    def curves(self) -> tuple[tuple[tuple[float, float], ...], ...]:
-        """One tuple of (x, y) pairs per t value; built on each access."""
-        return tuple(tuple(zip(self.x_values, ys)) for ys in self.y_rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_values": list(self.t_values),
-            "curves": [[list(p) for p in curve] for curve in self.curves],
-        }
+    def __init__(self, x_values: tuple[float, ...], t_values: tuple[float, ...],
+                 y_rows: tuple[tuple[float, ...], ...]) -> None:
+        _set_rows(self, x_values, t_values, y_rows)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -258,17 +229,8 @@ def sample_surface(eos, grid: GridSpec) -> SurfaceGrid:
     Ordering is deterministic (t outer, x inner) and every emitted
     point is audited against the surface's implicit form.
     """
-    xs = grid.x_values()
-    ts = grid.t_values()
-    x_label, y_label, t_label = eos.axis_labels()
-    return SurfaceGrid(
-        x_label=x_label,
-        y_label=y_label,
-        t_label=t_label,
-        x_values=tuple(xs),
-        t_values=tuple(ts),
-        y_rows=_sample_rows(eos, xs, ts),
-    )
+    xs, ts = grid.x_values(), grid.t_values()
+    return SurfaceGrid(*eos.axis_labels(), tuple(xs), tuple(ts), _sample_rows(eos, xs, ts))
 
 
 def isocurves(
@@ -292,8 +254,7 @@ def isocurves(
     )
 
 
-@dataclass(frozen=True)
-class IsopriceCollapseReport:
+class IsopriceCollapseReport(Record):
     """Degeneracy check of the clearing-constrained market states.
 
     At each exogenous price the cleared state (Q^s, q^d) is generated;
@@ -301,11 +262,15 @@ class IsopriceCollapseReport:
     forming one curve per price.
     """
 
-    line_slope: float
-    prices: tuple[float, ...]
-    points: tuple[tuple[float, float], ...]
-    max_rel_deviation: float
-    collapse: bool
+    __slots__ = ("line_slope", "prices", "points", "max_rel_deviation", "collapse")
+
+    def __init__(self, line_slope: float, prices: tuple[float, ...], points: tuple[tuple[float, float], ...],
+                 max_rel_deviation: float, collapse: bool) -> None:
+        set_field(self, "line_slope", line_slope)
+        set_field(self, "prices", prices)
+        set_field(self, "points", points)
+        set_field(self, "max_rel_deviation", max_rel_deviation)
+        set_field(self, "collapse", collapse)
 
     def to_dict(self) -> dict:
         return {
@@ -354,13 +319,15 @@ def isoprice_collapse_check(
     )
 
 
-@dataclass(frozen=True)
-class CurveCollapseReport:
+class CurveCollapseReport(Record):
     """Whether every curve of a family coincides with the first."""
 
-    n_curves: int
-    max_rel_difference: float
-    collapse: bool
+    __slots__ = ("n_curves", "max_rel_difference", "collapse")
+
+    def __init__(self, n_curves: int, max_rel_difference: float, collapse: bool) -> None:
+        set_field(self, "n_curves", n_curves)
+        set_field(self, "max_rel_difference", max_rel_difference)
+        set_field(self, "collapse", collapse)
 
     def to_dict(self) -> dict:
         return {
@@ -419,11 +386,10 @@ def _csv_chunks(obj: SurfaceGrid | IsocurveFamily) -> Iterator[str]:
 
 
 def _json_chunks(obj: SurfaceGrid | IsocurveFamily) -> Iterator[str]:
-    """The text of ``json.dumps(obj.to_dict(), indent=2) + "\\n"`` in chunks.
+    """The text of ``render_json(obj)`` in chunks: the head, one per t row, then the tail.
 
-    The chunks are the head, one per t row, then the tail. Numbers are
-    written with ``repr``, which is what the json encoder writes for a
-    finite float; sampling admits only finite values.
+    Numbers are written with ``repr``, which is what the json encoder
+    writes for a finite float; sampling admits only finite values.
     """
     if isinstance(obj, SurfaceGrid):
         labels = "".join(
@@ -463,5 +429,10 @@ def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
 
 
 def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
-    """JSON text, the bytes of ``json.dumps(obj.to_dict(), indent=2) + "\\n"``."""
+    """JSON text, the bytes ``json.dumps(doc, indent=2) + "\\n"`` writes for the document.
+
+    A surface's document is ``{"x_label", "y_label", "t_label", "points": [[x, t, y], ...]}``
+    in row-major (t, x) order; an iso-curve family's is
+    ``{"t_values": [...], "curves": [[[x, y], ...] per t]}``.
+    """
     return "".join(_json_chunks(obj))

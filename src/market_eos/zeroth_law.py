@@ -12,32 +12,31 @@ its equivalence classes, and the classes in tick order are the ranking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .equilibrium import MarketSpec, clearing_price_analytic
 from .errors import BracketingError, DomainError, InvariantError
+from .record import Record, set_field
 
 DEFAULT_QUANTUM = 1e-9
 
 
-@dataclass(frozen=True)
-class MarketRegistry:
+class MarketRegistry(Record):
     """Named markets compared under one price quantum.
 
     ``goods`` optionally labels what each market trades; comparisons
     across differently labeled goods are allowed but flagged.
     """
 
-    entries: Mapping[str, MarketSpec]
-    quantum: float = DEFAULT_QUANTUM
-    goods: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("entries", "quantum", "goods")
 
-    def __post_init__(self) -> None:
-        if not (self.quantum > 0 and math.isfinite(self.quantum)):
-            raise InvariantError(f"quantum must be positive and finite, got {self.quantum}")
-        object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "goods", dict(self.goods))
+    def __init__(self, entries: Mapping[str, MarketSpec], quantum: float = DEFAULT_QUANTUM,
+                 goods: Mapping[str, str] | None = None) -> None:
+        if not (quantum > 0 and math.isfinite(quantum)):
+            raise InvariantError(f"quantum must be positive and finite, got {quantum}")
+        set_field(self, "entries", dict(entries))
+        set_field(self, "quantum", quantum)
+        set_field(self, "goods", dict(goods or {}))
 
     def market(self, name: str) -> MarketSpec:
         try:
@@ -46,29 +45,36 @@ class MarketRegistry:
             raise KeyError(f"unknown market {name!r}") from None
 
 
-@dataclass(frozen=True)
-class EquilibriumVerdict:
+class EquilibriumVerdict(Record):
     """Pairwise comparison outcome on quantized clearing prices."""
 
-    pair: tuple[str, str]
-    in_equilibrium: bool
-    prices: tuple[float, float]
-    cross_goods: bool = False
+    __slots__ = ("pair", "in_equilibrium", "prices", "cross_goods")
+
+    def __init__(self, pair: tuple[str, str], in_equilibrium: bool, prices: tuple[float, float],
+                 cross_goods: bool = False) -> None:
+        set_field(self, "pair", pair)
+        set_field(self, "in_equilibrium", in_equilibrium)
+        set_field(self, "prices", prices)
+        set_field(self, "cross_goods", cross_goods)
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     """Equivalence classes of a registry and the laws the relation obeys.
 
     ``classes`` holds one ``(quantized price, sorted member names)`` entry
     per distinct tick, in tick order.
     """
 
-    reflexive: bool
-    symmetric: bool
-    transitive: bool
-    counterexample: tuple[str, str, str] | None
-    classes: tuple[tuple[float, tuple[str, ...]], ...]
+    __slots__ = ("reflexive", "symmetric", "transitive", "counterexample", "classes")
+
+    def __init__(self, reflexive: bool, symmetric: bool, transitive: bool,
+                 counterexample: tuple[str, str, str] | None,
+                 classes: tuple[tuple[float, tuple[str, ...]], ...]) -> None:
+        set_field(self, "reflexive", reflexive)
+        set_field(self, "symmetric", symmetric)
+        set_field(self, "transitive", transitive)
+        set_field(self, "counterexample", counterexample)
+        set_field(self, "classes", classes)
 
     @property
     def all_pass(self) -> bool:

@@ -1,0 +1,26 @@
+"""Per-point views of sampled grids, rebuilt from their axes and rows.
+
+A ``SurfaceGrid`` or ``IsocurveFamily`` holds only ``x_values``,
+``t_values`` and one row of y values per t. The tests check the rows,
+the CSV and the JSON exports against these independently built views.
+"""
+
+from market_eos import SurfaceGrid
+
+
+def points(grid):
+    """(x, t, y) triples of a surface, row-major in t then x."""
+    return tuple((x, t, y) for t, ys in zip(grid.t_values, grid.y_rows) for x, y in zip(grid.x_values, ys))
+
+
+def curves(family):
+    """One tuple of (x, y) pairs per t value of an iso-curve family."""
+    return tuple(tuple(zip(family.x_values, ys)) for ys in family.y_rows)
+
+
+def document(obj):
+    """The JSON document ``render_json(obj)`` writes, as dicts and lists."""
+    if isinstance(obj, SurfaceGrid):
+        labels = {"x_label": obj.x_label, "y_label": obj.y_label, "t_label": obj.t_label}
+        return {**labels, "points": [list(p) for p in points(obj)]}
+    return {"t_values": list(obj.t_values), "curves": [[list(p) for p in curve] for curve in curves(obj)]}

@@ -32,6 +32,8 @@ from market_eos import (
     verify_equivalence_laws,
 )
 
+from grid_oracles import curves
+
 SEED = 20260817
 
 
@@ -139,7 +141,7 @@ def test_c5_isoprice_collapse_vs_gas_isotherms():
         family = isocurves(IdealGasEoS(), [300.0, 600.0], (0.01, 0.1), 50)
         verdict = family_collapse(family)
         ok = not verdict.collapse
-        for (x0, y0), (x1, y1) in zip(family.curves[0], family.curves[1]):
+        for (x0, y0), (x1, y1) in zip(curves(family)[0], curves(family)[1]):
             if x0 != x1 or abs(y1 / y0 - 2.0) > 1e-12:
                 ok = False
                 break

@@ -138,6 +138,17 @@ def test_eos_with_an_overflowing_price_quotient(tmp_path, capsys):
     assert "K=1e+150 " in out
 
 
+def test_eos_with_an_overflowing_surface_constant_quotient(tmp_path, capsys):
+    # k_s/(k_d*N) = 1e616 overflows, but K = Pr* = 1e308 is finite
+    path = tmp_path / "edge.json"
+    edge = {"name": "edge", "family": "unitary", "k_s": 1e308, "k_d": 1e-308, "households": 1}
+    path.write_text(json.dumps({"version": "1", "markets": [edge]}), encoding="utf-8")
+    code, out, err = run(capsys, "eos", "--config", str(path), "edge")
+    assert code == 0, err
+    assert json.loads(out.split("\nK=")[0])["K"] == 1e308
+    assert "K=1e+308 " in out
+
+
 def test_eos_rejects_linear(config_path, capsys):
     code, _, err = run(capsys, "eos", "--config", config_path, "staple")
     assert code == 3
@@ -355,6 +366,20 @@ def test_surface_subnormal_point_exits_3_and_writes_nothing(config_path, capsys,
     assert out == ""
     assert "grid point (x=1e+307, t=1e-10) underflows" in err
     assert not out_file.exists()
+
+
+def test_surface_subnormal_hoisted_constant_exits_3(tmp_path, capsys):
+    # n*R*t = 1.1e-311 is subnormal, so y = n*R*t/x would be 636 epsilons off while on its implicit form
+    path = tmp_path / "gas.json"
+    gas = {"name": "gas", "kind": "ideal_gas", "n": 1.37}
+    path.write_text(json.dumps({"version": "1", "eos": [gas]}), encoding="utf-8")
+    code, out, err = run(
+        capsys, "surface", "--config", str(path), "gas", "--x-min", "1e-300", "--x-max", "2e-300",
+        "--t-min", "1e-312", "--t-max", "2e-312", "--nx", "2", "--nt", "2",
+    )
+    assert code == 3
+    assert out == ""
+    assert "grid point (x=1e-300, t=1e-312) outside the surface domain: n*R*t = " in err
 
 
 def test_surface_writes_file(config_path, capsys, tmp_path):

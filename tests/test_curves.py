@@ -87,7 +87,7 @@ def test_classify_elasticity_bands():
 
 def test_demand_past_choke_price_is_not_clamped():
     d = LinearDemand(k_s=-2.0, q_d0=10.0)
-    assert d.choke_price == 5.0
+    assert d.quantity(5.0) == 0.0  # the choke price q_d0 / |k_s|
     assert d.quantity(6.0) == -2.0  # raw value kept, never clamped
     assert d.quantity(4.0) == 2.0
 
@@ -95,7 +95,7 @@ def test_demand_past_choke_price_is_not_clamped():
 def test_elasticity_undefined_at_zero_quantity():
     d = LinearDemand(k_s=-2.0, q_d0=10.0)
     with pytest.raises(DomainError):
-        point_elasticity(d, d.choke_price)
+        point_elasticity(d, 5.0)  # the choke price, where quantity is zero
 
 
 def test_curve_invariants_rejected():

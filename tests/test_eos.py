@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given
@@ -211,6 +213,28 @@ def test_linear_verdict_over_all_finite_doubles(k_s, k_d):
     assert report.classification_d == report.classification_s == "imaginary"
     assert math.isfinite(report.eps_d_squared)
     assert math.isfinite(report.eps_s_squared)
+
+
+@example(k_s=1e308, k_d=1e-308, n=1)  # k_s/k_d overflows, but K = Pr* = 1e308
+@example(k_s=1e-308, k_d=1e308, n=1)  # k_s/k_d underflows to 0, K = 1e-308
+@given(k_s=magnitude, k_d=magnitude, n=st.integers(min_value=1, max_value=10**6))
+def test_surface_constant_over_all_finite_doubles(k_s, k_d, n):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(k_s) / (Decimal(k_d) * n)).sqrt()
+        try:
+            k = derive_unitary_eos(unitary_market(k_s, k_d, n)).K
+        except (DomainError, InvariantError):
+            # only a subnormal K, a Pr* = K*N past the largest double or a subnormal
+            # k_d*N may keep the K*N identity check from holding
+            assert (exact < Decimal(sys.float_info.min) or exact * n > Decimal(sys.float_info.max)
+                    or k_d * n < sys.float_info.min)
+            return
+        direct = k_s / (k_d * n)
+        if sys.float_info.min <= direct <= sys.float_info.max:
+            assert k.hex() == math.sqrt(direct).hex()
+        else:
+            assert abs(Decimal(k) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 def test_eos_domain_check():
