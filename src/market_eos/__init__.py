@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InvariantError,
-    UnsolvableMarketError,
 )
 from .reference_eos import (
     GAS_CONSTANT,
@@ -52,10 +51,7 @@ from .surface import (
     sample_surface,
 )
 from .zeroth_law import (
-    EquilibriumVerdict,
-    LawReport,
     MarketRegistry,
-    in_price_equilibrium,
     quantize,
     rank_markets,
     verify_equivalence_laws,
@@ -72,14 +68,12 @@ __all__ = [
     "CurveCollapseReport",
     "DomainError",
     "EquilibriumPoint",
-    "EquilibriumVerdict",
     "GAS_CONSTANT",
     "GridSpec",
     "IdealGasEoS",
     "InvariantError",
     "IsocurveFamily",
     "IsopriceCollapseReport",
-    "LawReport",
     "LinearDemand",
     "LinearSupply",
     "MarketRegistry",
@@ -87,7 +81,6 @@ __all__ = [
     "SurfaceGrid",
     "UnitaryDemand",
     "UnitaryEoS",
-    "UnsolvableMarketError",
     "aggregate_demand",
     "amplification_factor",
     "auto_bracket",
@@ -98,7 +91,6 @@ __all__ = [
     "derive_unitary_eos",
     "excess_demand",
     "family_collapse",
-    "in_price_equilibrium",
     "isocurves",
     "isoprice_collapse_check",
     "linear_consistency_from_coefficients",

@@ -79,7 +79,7 @@ class ConfigDocument(Record):
         return self.markets[name]
 
     def registry(self) -> MarketRegistry:
-        return MarketRegistry(entries=self.markets, quantum=self.quantum, goods=self.goods)
+        return MarketRegistry(entries=self.markets, quantum=self.quantum)
 
 
 def _invalid(where: str, message: str) -> ConfigError:

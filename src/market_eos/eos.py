@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from .curves import LinearDemand, UnitaryDemand
-from .equilibrium import PER_HOUSEHOLD, MarketSpec, _sqrt_quotient, clearing_price_analytic
+from .equilibrium import _DBL_MIN, PER_HOUSEHOLD, MarketSpec, _sqrt_quotient, clearing_price_analytic
 from .errors import DomainError, InvariantError
 from .record import Record, set_field
 from .reference_eos import Row, _hoisted
@@ -201,8 +201,9 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     """Constraint-surface constant K for a unitary market.
 
     K = sqrt(k_s / (k_d * N)), rescaled as the clearing price is where
-    the quotient is not a normal double. Construction self-checks the
-    derived identity K * N == clearing price before returning.
+    the quotient or ``k_d * N`` is not a normal double. A subnormal K
+    raises ``DomainError``. Construction self-checks the derived
+    identity K == clearing price / N before returning.
     """
     if not isinstance(market.demand, UnitaryDemand):
         raise TypeError(
@@ -215,12 +216,14 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
             f"market uses {market.interpretation!r}"
         )
     k_s, k_d, n = market.demand.k_s, market.supply.k_d, market.households
-    k = _sqrt_quotient(k_s / (k_d * n), k_s, k_d, 1 / n)
+    supply_n = k_d * n
+    # a subnormal k_d*N has lost bits already: an infinite quotient sends the root down the rescale path
+    k = _hoisted("K", _sqrt_quotient(k_s / supply_n if supply_n >= _DBL_MIN else math.inf, k_s, k_d, 1 / n))
     pr_star = clearing_price_analytic(market).clearing_price
-    if not (abs(k * n - pr_star) <= EOS_SELF_CHECK_REL * pr_star):
+    if not (abs(k - pr_star / n) <= EOS_SELF_CHECK_REL * (pr_star / n)):
         raise InvariantError(
-            f"surface constant failed its identity check: K*N = {k * n} "
-            f"but the clearing price is {pr_star}"
+            f"surface constant failed its identity check: K = {k} "
+            f"but the clearing price over N is {pr_star / n}"
         )
     return UnitaryEoS(K=k, source_market=market)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
-from .errors import BracketingError, DomainError, InvariantError, UnsolvableMarketError
+from .errors import BracketingError, DomainError, InvariantError
 from .record import Record, set_field
 
 # Ways to read a unitary demand coefficient when aggregating over
@@ -22,15 +22,7 @@ from .record import Record, set_field
 PER_HOUSEHOLD = "per-household"
 AGGREGATE = "aggregate"
 
-# Residual acceptance: |Q^d - Q^s| <= RESIDUAL_REL * max(1, Q*).
-RESIDUAL_REL = 1e-9
-
-# Default relative tolerance on the bisection price.
-PRICE_TOL = 1e-12
-
-_BRACKET_MAX_EXPONENT = 60
-
-_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
+_DBL_TRUE_MIN, _DBL_MIN, _DBL_MAX = math.ulp(0.0), sys.float_info.min, sys.float_info.max
 
 
 class MarketSpec(Record):
@@ -123,87 +115,41 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
 
 
 def auto_bracket(market: MarketSpec) -> tuple[float, float]:
-    """Sign-changing price bracket by geometric expansion from [1/2, 2].
+    """Every positive double, ``(5e-324, DBL_MAX)``, as the price bracket.
 
-    Both ends widen by a factor of two per step, up to [2**-60, 2**60].
-    Deterministic; raises if no sign change appears within the limits.
+    Raises ``BracketingError`` unless excess demand changes sign, or is
+    zero, at one of the two ends, which holds for every market whose
+    clearing price is a positive double.
     """
-    for k in range(1, _BRACKET_MAX_EXPONENT + 1):
-        lo, hi = 2.0**-k, 2.0**k
-        f_lo, f_hi = excess_demand(market, lo), excess_demand(market, hi)
-        if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0) != (f_hi > 0.0):
-            return lo, hi
-    raise UnsolvableMarketError(
-        f"no sign change in excess demand on [2**-{_BRACKET_MAX_EXPONENT}, 2**{_BRACKET_MAX_EXPONENT}]"
-    )
-
-
-def clearing_price_numeric(
-    market: MarketSpec,
-    bracket: tuple[float, float] | None = None,
-    tol: float = PRICE_TOL,
-) -> EquilibriumPoint:
-    """Clearing point by bisection on excess demand.
-
-    Parameters
-    ----------
-    market : MarketSpec
-        Market to clear.
-    bracket : (lo, hi), optional
-        Price interval with a sign change in excess demand. Defaults
-        to :func:`auto_bracket`.
-    tol : float
-        Relative tolerance on the clearing price (default 1e-12).
-
-    Returns
-    -------
-    EquilibriumPoint
-        Bisection stops once the bracket is narrower than ``tol``
-        relative and the residual is within ``RESIDUAL_REL * max(1, Q*)``,
-        or the bracket cannot shrink further in floating point.
-
-    Raises
-    ------
-    BracketingError
-        If excess demand has the same sign at both endpoints.
-    """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if bracket is None:
-        bracket = auto_bracket(market)
-    lo, hi = bracket
-    if not (0 <= lo < hi):
-        raise DomainError(f"bracket must satisfy 0 <= lo < hi, got [{lo}, {hi}]")
-
-    f_lo = excess_demand(market, lo)
-    f_hi = excess_demand(market, hi)
-    if f_lo == 0.0:
-        lo = hi = lo
-    elif f_hi == 0.0:
-        lo = hi = hi
-    elif (f_lo > 0.0) == (f_hi > 0.0):
+    f_lo, f_hi = excess_demand(market, _DBL_TRUE_MIN), excess_demand(market, _DBL_MAX)
+    if f_lo != 0.0 and f_hi != 0.0 and (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketingError(
-            f"no sign change in excess demand on [{lo}, {hi}]: "
-            f"excess_demand({lo}) = {f_lo}, excess_demand({hi}) = {f_hi}"
+            f"no sign change in excess demand over the positive doubles: "
+            f"excess_demand({_DBL_TRUE_MIN}) = {f_lo}, excess_demand({_DBL_MAX}) = {f_hi}"
         )
+    return _DBL_TRUE_MIN, _DBL_MAX
 
-    while lo < hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+
+def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
+    """Clearing point by bisection on excess demand over every positive double.
+
+    The midpoint is geometric while ``hi > 2*lo``, so the exponent range
+    halves each step, and arithmetic after that. The search stops at an
+    exact zero of excess demand or when no double lies strictly between
+    the ends, at most 64 steps, and returns the end with the smaller
+    ``|excess_demand|``. Raises ``BracketingError`` when the clearing
+    price is not a positive double.
+    """
+    lo, hi = auto_bracket(market)
+    f_lo, f_hi = excess_demand(market, lo), excess_demand(market, hi)
+    while f_lo != 0.0 and f_hi != 0.0:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
             break
         f_mid = excess_demand(market, mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi = mid
-        if hi - lo <= tol * mid:
-            q_mid = market.supply.quantity(mid)
-            if abs(f_mid) <= RESIDUAL_REL * max(1.0, q_mid):
-                break
-
-    pr_star = 0.5 * (lo + hi) if lo < hi else lo
-    q_star = market.supply.quantity(pr_star)
-    return EquilibriumPoint(pr_star, q_star, residual=abs(excess_demand(market, pr_star)))
+            hi, f_hi = mid, f_mid
+    pr_star, f_star = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    return EquilibriumPoint(pr_star, market.supply.quantity(pr_star), residual=abs(f_star))

@@ -13,9 +13,5 @@ class BracketingError(RuntimeError):
     """A root bracket does not enclose a sign change."""
 
 
-class UnsolvableMarketError(BracketingError):
-    """No sign-changing bracket exists within the expansion limits."""
-
-
 class ConfigError(ValueError):
     """A configuration document is malformed or references unknown entities."""

@@ -50,7 +50,7 @@ class IdealGasEoS(Record):
             raise DomainError(f"temperature must be positive, got {t}")
         if x <= 0:
             raise DomainError(f"volume must be positive, got {x}")
-        return _hoisted("n*R*t", self.n * self.R * t) / x
+        return _hoisted("n*R*t", _hoisted("n*R", self.n * self.R) * t) / x
 
     def residual(self, x: float, y: float, t: float) -> float:
         return y - self.y_of(x, t)

@@ -177,12 +177,14 @@ def test_c6_zeroth_law_over_random_registries():
     ok = True
     for _ in range(200):
         registry = _random_registry(rng)
-        rep = verify_equivalence_laws(registry)
-        if not rep.all_pass or rep.counterexample is not None:
+        classes = verify_equivalence_laws(registry)
+        prices = [price for price, _ in classes]
+        flattened = [(price, name) for price, members in classes for name in members]
+        # a partition: one class per distinct price, every market in exactly one class
+        if prices != sorted(set(prices)) or sorted(name for _, name in flattened) != sorted(registry.entries):
             ok = False
             break
         ranked = rank_markets(registry)
-        flattened = [(price, name) for price, members in rep.classes for name in members]
         if [(price, name) for name, price in ranked] != flattened:
             ok = False
             break

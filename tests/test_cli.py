@@ -138,6 +138,27 @@ def test_eos_with_an_overflowing_price_quotient(tmp_path, capsys):
     assert "K=1e+150 " in out
 
 
+def test_solve_far_outside_the_unit_price_decades(tmp_path, capsys):
+    # N*k_s/k_d = 1e312 overflows; the bisection still finds Pr* = 1e156 over all positive doubles
+    path = tmp_path / "wide.json"
+    wide = {"name": "wide", "family": "unitary", "k_s": 1e300, "k_d": 1e-6, "households": 1_000_000}
+    path.write_text(json.dumps({"version": "1", "markets": [wide]}), encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--config", str(path), "wide")
+    assert code == 0, err
+    assert out.startswith("Pr*=1e+156 ")
+
+
+def test_eos_with_a_subnormal_surface_constant_exits_3(tmp_path, capsys):
+    # K = sqrt(4.9e-320 / (2.76e306 * 3)) = 7.7e-314 is subnormal
+    path = tmp_path / "tiny.json"
+    tiny = {"name": "tiny", "family": "unitary", "k_s": 4.9e-320, "k_d": 2.76e306, "households": 3}
+    path.write_text(json.dumps({"version": "1", "markets": [tiny]}), encoding="utf-8")
+    code, out, err = run(capsys, "eos", "--config", str(path), "tiny")
+    assert code == 3
+    assert out == ""
+    assert "K = 7.69" in err and "below the smallest normal double" in err
+
+
 def test_eos_with_an_overflowing_surface_constant_quotient(tmp_path, capsys):
     # k_s/(k_d*N) = 1e616 overflows, but K = Pr* = 1e308 is finite
     path = tmp_path / "edge.json"

@@ -65,7 +65,6 @@ def test_registry_from_config():
     reg = parse_config(FULL).registry()
     assert set(reg.entries) == {"a", "b"}
     assert reg.quantum == 1e-6
-    assert reg.goods == {"a": "bread"}
 
 
 def test_unknown_top_level_field_rejected():

@@ -216,7 +216,9 @@ def test_linear_verdict_over_all_finite_doubles(k_s, k_d):
 
 
 @example(k_s=1e308, k_d=1e-308, n=1)  # k_s/k_d overflows, but K = Pr* = 1e308
-@example(k_s=1e-308, k_d=1e308, n=1)  # k_s/k_d underflows to 0, K = 1e-308
+@example(k_s=1e-308, k_d=1e308, n=1)  # k_s/k_d underflows to 0, K = 1e-308 is subnormal
+@example(k_s=4.9e-320, k_d=2.76e306, n=3)  # K = 7.7e-314 is subnormal
+@example(k_s=1.0, k_d=1e-310, n=7)  # k_d*N is subnormal, K = 3.8e154
 @given(k_s=magnitude, k_d=magnitude, n=st.integers(min_value=1, max_value=10**6))
 def test_surface_constant_over_all_finite_doubles(k_s, k_d, n):
     with localcontext() as ctx:
@@ -224,14 +226,12 @@ def test_surface_constant_over_all_finite_doubles(k_s, k_d, n):
         exact = (Decimal(k_s) / (Decimal(k_d) * n)).sqrt()
         try:
             k = derive_unitary_eos(unitary_market(k_s, k_d, n)).K
-        except (DomainError, InvariantError):
-            # only a subnormal K, a Pr* = K*N past the largest double or a subnormal
-            # k_d*N may keep the K*N identity check from holding
-            assert (exact < Decimal(sys.float_info.min) or exact * n > Decimal(sys.float_info.max)
-                    or k_d * n < sys.float_info.min)
+        except DomainError:
+            # only a subnormal K or a Pr* = K*N past the largest double is rejected
+            assert exact < Decimal(sys.float_info.min) or exact * n > Decimal(sys.float_info.max)
             return
         direct = k_s / (k_d * n)
-        if sys.float_info.min <= direct <= sys.float_info.max:
+        if sys.float_info.min <= direct <= sys.float_info.max and k_d * n >= sys.float_info.min:
             assert k.hex() == math.sqrt(direct).hex()
         else:
             assert abs(Decimal(k) - exact) <= 2 * Decimal(math.ulp(float(exact)))

@@ -5,9 +5,10 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import market_eos.equilibrium as equilibrium_module
 from market_eos import (
     BracketingError,
     DomainError,
@@ -16,7 +17,6 @@ from market_eos import (
     LinearSupply,
     MarketSpec,
     UnitaryDemand,
-    UnsolvableMarketError,
     aggregate_demand,
     auto_bracket,
     clearing_price_analytic,
@@ -64,19 +64,44 @@ def test_aggregate_demand_interpretations():
 
 
 def test_bisection_matches_analytic_linear():
-    eq = clearing_price_numeric(LINEAR, bracket=(0.01, 100.0))
-    assert abs(eq.clearing_price - 2.0) <= 1e-12 * 2.0
+    eq = clearing_price_numeric(LINEAR)
+    assert abs(eq.clearing_price - 2.0) <= 2 * math.ulp(2.0)
     assert eq.residual <= 1e-9 * max(1.0, eq.clearing_quantity)
 
 
 def test_bisection_matches_analytic_unitary():
-    eq = clearing_price_numeric(UNITARY4, bracket=(0.01, 100.0))
-    assert abs(eq.clearing_price - 4.0) <= 1e-12 * 4.0
+    eq = clearing_price_numeric(UNITARY4)
+    assert abs(eq.clearing_price - 4.0) <= 2 * math.ulp(4.0)
 
 
 def test_bad_bracket_raises():
-    with pytest.raises(BracketingError):
-        clearing_price_numeric(LINEAR, bracket=(5.0, 100.0))
+    # sqrt(1e308 / 1e-310) = 1e309: excess demand is positive at every positive double
+    with pytest.raises(BracketingError, match="no sign change"):
+        clearing_price_numeric(MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-310)))
+
+
+@pytest.mark.parametrize(
+    "market",
+    [
+        LINEAR,
+        UNITARY4,
+        UNITARY_AGG,
+        MarketSpec(demand=UnitaryDemand(k_s=1e300), supply=LinearSupply(k_d=1e-6), households=1_000_000),
+        MarketSpec(demand=UnitaryDemand(k_s=1e-308), supply=LinearSupply(k_d=1e308)),
+        MarketSpec(demand=LinearDemand(k_s=-1e-300, q_d0=1e-150), supply=LinearSupply(k_d=1e150)),
+        MarketSpec(demand=LinearDemand(k_s=-1e-300, q_d0=1e300), supply=LinearSupply(k_d=1e-8)),
+    ],
+)
+def test_bisection_reads_excess_demand_at_most_70_times(market, monkeypatch):
+    calls = []
+
+    def counted(spec, pr):
+        calls.append(pr)
+        return excess_demand(spec, pr)
+
+    monkeypatch.setattr(equilibrium_module, "excess_demand", counted)
+    clearing_price_numeric(market)
+    assert 0 < len(calls) <= 70
 
 
 def test_auto_bracket_contains_root():
@@ -231,5 +256,31 @@ def test_residual_bound_at_equilibrium(market):
     assert eq.clearing_quantity == market.supply.quantity(eq.clearing_price)
 
 
-def test_unsolvable_market_error_is_bracketing_error():
-    assert issubclass(UnsolvableMarketError, BracketingError)
+scales = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k_s=scales,
+    q_d0=scales,
+    k_d=scales,
+    n=st.integers(min_value=1, max_value=10**6),
+    linear=st.booleans(),
+    agg=st.booleans(),
+)
+def test_solvers_agree_within_two_ulp_over_three_hundred_decades(k_s, q_d0, k_d, n, linear, agg):
+    demand = LinearDemand(k_s=-k_s, q_d0=q_d0) if linear else UnitaryDemand(k_s=k_s)
+    market = MarketSpec(
+        demand=demand,
+        supply=LinearSupply(k_d=k_d),
+        households=n,
+        interpretation="aggregate" if agg else "per-household",
+    )
+    try:
+        analytic = clearing_price_analytic(market).clearing_price
+    except DomainError:
+        with pytest.raises(BracketingError):
+            clearing_price_numeric(market)
+        return
+    numeric = clearing_price_numeric(market).clearing_price
+    assert abs(numeric - analytic) <= 2 * math.ulp(analytic)

@@ -302,6 +302,9 @@ def test_points_with_a_subnormal_hoisted_constant_are_rejected():
          r"grid point \(x=1\.0, t=1\.0\) outside the surface domain: D/mu0 = 1e-310 is below"),
         (UNIT_EOS, GridSpec(x_min=1e-310, x_max=1e-300, nx=2, t_min=1e-320, t_max=1e-310, nt=2),
          r"grid point \(x=1e-310, t=1e-320\) outside the surface domain: K\*x = 1e-310 is below"),
+        # n*R*t is normal, but its factor n*R is subnormal and has lost bits
+        (IdealGasEoS(n=1.37e-320), GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=1e300, t_max=2e300, nt=2),
+         r"grid point \(x=1\.0, t=1e\+300\) outside the surface domain: n\*R = 1\.139\d*e-319 is below"),
     ]
     for eos, grid, message in cases:
         with pytest.raises(DomainError, match=message):

@@ -16,7 +16,7 @@ from market_eos import (
     MarketRegistry,
     MarketSpec,
     UnitaryDemand,
-    in_price_equilibrium,
+    clearing_price_analytic,
     quantize,
     rank_markets,
     verify_equivalence_laws,
@@ -34,40 +34,25 @@ def registry(**entries):
 
 
 def test_equal_clearing_prices_are_in_equilibrium():
-    verdict = in_price_equilibrium(registry(A=MARKET_A, B=MARKET_B), "A", "B")
-    assert verdict.in_equilibrium
-    assert verdict.prices == (2.0, 2.0)
-    assert verdict.pair == ("A", "B")
+    assert verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B)) == ((2.0, ("A", "B")),)
 
 
 def test_reflexivity_of_single_market():
-    assert in_price_equilibrium(registry(A=MARKET_A), "A", "A").in_equilibrium
+    assert verify_equivalence_laws(registry(A=MARKET_A)) == ((2.0, ("A",)),)
 
 
 def test_cross_family_equilibrium():
     # linear market at Pr*=2 against a unitary one at sqrt(8/2)=2
-    verdict = in_price_equilibrium(registry(A=MARKET_A, C=MARKET_C), "A", "C")
-    assert verdict.in_equilibrium
+    assert verify_equivalence_laws(registry(A=MARKET_A, C=MARKET_C)) == ((2.0, ("A", "C")),)
 
 
 def test_unequal_prices_not_in_equilibrium():
-    verdict = in_price_equilibrium(registry(A=MARKET_A, D=MARKET_D), "A", "D")
-    assert not verdict.in_equilibrium
-    assert verdict.prices == (2.0, 4.0)
-
-
-def test_cross_goods_flagged_but_allowed():
-    reg = MarketRegistry(entries={"A": MARKET_A, "C": MARKET_C}, goods={"A": "bread", "C": "fuel"})
-    verdict = in_price_equilibrium(reg, "A", "C")
-    assert verdict.in_equilibrium
-    assert verdict.cross_goods
-    same = MarketRegistry(entries={"A": MARKET_A, "B": MARKET_B}, goods={"A": "bread", "B": "bread"})
-    assert not in_price_equilibrium(same, "A", "B").cross_goods
+    assert verify_equivalence_laws(registry(A=MARKET_A, D=MARKET_D)) == ((2.0, ("A",)), (4.0, ("D",)))
 
 
 def test_unknown_market_name():
-    with pytest.raises(KeyError):
-        in_price_equilibrium(registry(A=MARKET_A), "A", "nope")
+    with pytest.raises(KeyError, match="unknown market 'nope'"):
+        registry(A=MARKET_A).market("nope")
 
 
 def test_ranking_with_tie():
@@ -94,22 +79,16 @@ def test_quantize_rejects_non_finite_ticks(price, quantum):
 
 
 def test_laws_pass_on_equal_price_triple():
-    report = verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, C=MARKET_C))
-    assert report.all_pass
-    assert report.counterexample is None
-    assert report.classes == ((2.0, ("A", "B", "C")),)
+    assert verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, C=MARKET_C)) == ((2.0, ("A", "B", "C")),)
 
 
 def test_mixed_prices_partition_into_two_classes():
-    report = verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, D=MARKET_D))
-    assert report.all_pass
-    assert report.classes == ((2.0, ("A", "B")), (4.0, ("D",)))
+    classes = verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, D=MARKET_D))
+    assert classes == ((2.0, ("A", "B")), (4.0, ("D",)))
 
 
 def test_empty_registry_report():
-    report = verify_equivalence_laws(registry())
-    assert report.all_pass
-    assert report.classes == ()
+    assert verify_equivalence_laws(registry()) == ()
 
 
 def test_registry_invariants():
@@ -123,8 +102,7 @@ def test_registry_invariants():
 def test_ranking_consistent_with_classes():
     reg = registry(A=MARKET_A, B=MARKET_B, C=MARKET_C, D=MARKET_D)
     ranked = rank_markets(reg)
-    report = verify_equivalence_laws(reg)
-    by_class = [(price, name) for price, members in report.classes for name in members]
+    by_class = [(price, name) for price, members in verify_equivalence_laws(reg) for name in members]
     assert [(price, name) for name, price in ranked] == by_class
 
 
@@ -156,11 +134,12 @@ def test_laws_hold_for_random_registries(markets, quantum):
     reg = MarketRegistry(
         entries={f"m{i}": m for i, m in enumerate(markets)}, quantum=quantum
     )
-    report = verify_equivalence_laws(reg)
-    assert report.all_pass, report.counterexample
-    # classes partition the registry
-    names = [name for _, members in report.classes for name in members]
+    classes = verify_equivalence_laws(reg)
+    # classes partition the registry, one class per distinct price
+    names = [name for _, members in classes for name in members]
     assert sorted(names) == sorted(reg.entries)
+    prices = [price for price, _ in classes]
+    assert prices == sorted(set(prices))
 
 
 def brute_force_relation(reg):
@@ -173,10 +152,9 @@ def brute_force_relation(reg):
     names = list(reg.entries)
     n = len(names)
     assert n <= 64
-    related = np.array(
-        [[in_price_equilibrium(reg, a, b).in_equilibrium for b in names] for a in names],
-        dtype=np.int64,
-    )
+    tick = {name: quantize(clearing_price_analytic(market).clearing_price, reg.quantum)
+            for name, market in reg.entries.items()}
+    related = np.array([[tick[a] == tick[b] for b in names] for a in names], dtype=np.int64)
     paths = related @ related  # paths[a, c] = #b with a~b and b~c
     reflexive = bool(np.all(np.diag(related) == 1))
     symmetric = bool(np.array_equal(related, related.T))
@@ -195,11 +173,11 @@ registry_strategy = st.lists(market_strategy, min_size=1, max_size=12).flatmap(
 def test_partition_agrees_with_brute_force_triples(markets, quantum):
     reg = MarketRegistry(entries={f"m{i}": m for i, m in enumerate(markets)}, quantum=quantum)
     names, related, laws = brute_force_relation(reg)
-    report = verify_equivalence_laws(reg)
-    assert (report.reflexive, report.symmetric, report.transitive) == laws == (True, True, True)
-    class_of = {name: k for k, (_, members) in enumerate(report.classes) for name in members}
+    classes = verify_equivalence_laws(reg)
+    assert laws == (True, True, True)
+    class_of = {name: k for k, (_, members) in enumerate(classes) for name in members}
     assert sorted(class_of) == sorted(names)
-    assert sum(len(members) for _, members in report.classes) == len(names)
+    assert sum(len(members) for _, members in classes) == len(names)
     same_class = np.array([[class_of[a] == class_of[b] for b in names] for a in names], dtype=np.int64)
     assert np.array_equal(same_class, related)
 
