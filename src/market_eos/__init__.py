@@ -1,6 +1,6 @@
 """Market-clearing equilibria and equation-of-state surfaces for simple markets."""
 
-from .config import ConfigDocument, load_config, load_schema, parse_config
+from .config import ConfigDocument, load_config, parse_config
 from .curves import (
     LinearDemand,
     LinearSupply,
@@ -19,7 +19,6 @@ from .eos import (
 from .equilibrium import (
     EquilibriumPoint,
     MarketSpec,
-    aggregate_demand,
     auto_bracket,
     clearing_price_analytic,
     clearing_price_numeric,
@@ -81,7 +80,6 @@ __all__ = [
     "SurfaceGrid",
     "UnitaryDemand",
     "UnitaryEoS",
-    "aggregate_demand",
     "amplification_factor",
     "auto_bracket",
     "check_linear_consistency",
@@ -95,7 +93,6 @@ __all__ = [
     "isoprice_collapse_check",
     "linear_consistency_from_coefficients",
     "load_config",
-    "load_schema",
     "parse_config",
     "point_elasticity",
     "quantize",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 from pathlib import Path
 from typing import NoReturn
 
@@ -46,32 +45,20 @@ _KINDS = {"markets": ("family", ("linear", "unitary")), "eos": ("kind", ("ideal_
 _TYPE_NAMES = {float: "number", int: "integer", str: "string", list: "array", dict: "object"}
 
 
-def load_schema(name: str) -> dict:
-    """Load a packaged schema (``config``, ``surface`` or ``isocurves``)."""
-    text = resources.files("market_eos").joinpath("schemas", f"{name}.schema.json").read_text("utf-8")
-    return json.loads(text)
-
-
 class ConfigDocument(Record):
-    """Validated configuration with domain objects already built; ``source_path`` is not compared."""
+    """Validated configuration with domain objects already built."""
 
-    __slots__ = ("version", "markets", "goods", "eos_entities", "grid", "output_dir", "quantum", "source_path")
+    __slots__ = ("markets", "goods", "eos_entities", "grid", "output_dir", "quantum")
 
-    def __init__(self, version: str, markets: dict[str, MarketSpec], goods: dict[str, str],
+    def __init__(self, markets: dict[str, MarketSpec], goods: dict[str, str],
                  eos_entities: dict[str, IdealGasEoS | CurieParamagnetEoS], grid: GridSpec | None = None,
-                 output_dir: str | None = None, quantum: float = DEFAULT_QUANTUM,
-                 source_path: Path | None = None) -> None:
-        set_field(self, "version", version)
+                 output_dir: str | None = None, quantum: float = DEFAULT_QUANTUM) -> None:
         set_field(self, "markets", markets)
         set_field(self, "goods", goods)
         set_field(self, "eos_entities", eos_entities)
         set_field(self, "grid", grid)
         set_field(self, "output_dir", output_dir)
         set_field(self, "quantum", quantum)
-        set_field(self, "source_path", source_path)
-
-    def _key(self) -> tuple:
-        return super()._key()[:-1]  # every field but source_path
 
     def market(self, name: str) -> MarketSpec:
         if name not in self.markets:
@@ -138,7 +125,7 @@ def _build_eos(entry: dict) -> IdealGasEoS | CurieParamagnetEoS:
     return cls(**{key: value for key, value in entry.items() if key not in ("name", "kind")})
 
 
-def parse_config(document: dict, source_path: Path | None = None) -> ConfigDocument:
+def parse_config(document: dict) -> ConfigDocument:
     """Check the shape of a parsed JSON document and build its domain objects.
 
     Shape errors read ``invalid config at <path>: ...``. Value ranges are
@@ -171,14 +158,12 @@ def parse_config(document: dict, source_path: Path | None = None) -> ConfigDocum
     _built("quantum", MarketRegistry, entries={}, quantum=quantum)
 
     return ConfigDocument(
-        version=document["version"],
         markets=markets,
         goods=goods,
         eos_entities=eos_entities,
         grid=grid,
         output_dir=document.get("output_dir"),
         quantum=quantum,
-        source_path=source_path,
     )
 
 
@@ -215,4 +200,4 @@ def load_config(path: str | Path) -> ConfigDocument:
         )
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(document, source_path=path)
+    return parse_config(document)

@@ -22,9 +22,9 @@ from .record import Record, set_field
 UNITARY_CLASSIFICATION_TOL = 1e-12
 
 
-def classify_elasticity(value: float, tol: float = UNITARY_CLASSIFICATION_TOL) -> str:
-    """``"elastic"`` (|E| > 1), ``"unitary"`` (|E| = 1 within ``tol``) or ``"inelastic"`` (|E| < 1)."""
-    if abs(abs(value) - 1.0) <= tol:
+def classify_elasticity(value: float) -> str:
+    """``"elastic"`` (|E| > 1), ``"unitary"`` (|E| = 1 within the tolerance above) or ``"inelastic"``."""
+    if abs(abs(value) - 1.0) <= UNITARY_CLASSIFICATION_TOL:
         return "unitary"
     return "elastic" if abs(value) > 1.0 else "inelastic"
 

@@ -42,8 +42,8 @@ class UnitaryEoS(Record):
     """Constraint surface q^d = K * Q^s / Pr for one unitary market.
 
     K is computed, never user-set, and is specific to the source
-    market: it depends on the demand coefficient, the supply slope
-    (the elasticity-normalized slope eps_s) and the household count.
+    market: it depends on the demand coefficient, the supply slope and
+    the household count.
     """
 
     __slots__ = ("K", "source_market")
@@ -56,11 +56,6 @@ class UnitaryEoS(Record):
     def households(self) -> int:
         return self.source_market.households
 
-    @property
-    def eps_s(self) -> float:
-        """Supply-side elasticity coefficient, identified with the supply slope."""
-        return self.source_market.supply.k_d
-
     def axis_labels(self) -> tuple[str, str, str]:
         return ("Q_s", "q_d", "Pr")
 
@@ -69,10 +64,6 @@ class UnitaryEoS(Record):
         if t <= 0:
             raise DomainError(f"price must be positive, got {t}")
         return _hoisted("K*x", self.K * x) / t
-
-    def residual(self, x: float, y: float, t: float) -> float:
-        """Signed distance y - K * x / t; zero means on-surface."""
-        return y - self.y_of(x, t)
 
     def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
         """Per t: the demands over ``xs`` and the sides of ``q_d * Pr = K * Q_s``.

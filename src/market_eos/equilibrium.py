@@ -36,8 +36,8 @@ class MarketSpec(Record):
             raise InvariantError(f"demand must be a demand curve, got {type(demand).__name__}")
         if not isinstance(supply, LinearSupply):
             raise InvariantError(f"supply must be a supply curve, got {type(supply).__name__}")
-        if not (isinstance(households, int) and households >= 1):
-            raise InvariantError(f"households must be a positive integer, got {households!r}")
+        if not (isinstance(households, int) and 1 <= households <= _DBL_MAX):
+            raise InvariantError(f"households must be a positive integer at most DBL_MAX, got {households!r}")
         if interpretation not in (PER_HOUSEHOLD, AGGREGATE):
             raise InvariantError(
                 f"interpretation must be {PER_HOUSEHOLD!r} or {AGGREGATE!r}, got {interpretation!r}"
@@ -53,58 +53,58 @@ class EquilibriumPoint(Record):
 
     __slots__ = ("clearing_price", "clearing_quantity", "residual")
 
-    def __init__(self, clearing_price: float, clearing_quantity: float, residual: float = 0.0) -> None:
+    def __init__(self, clearing_price: float, clearing_quantity: float, residual: float) -> None:
         set_field(self, "clearing_price", clearing_price)
         set_field(self, "clearing_quantity", clearing_quantity)
         set_field(self, "residual", residual)
 
 
-def aggregate_demand(market: MarketSpec, pr: float) -> float:
-    """Market-wide quantity demanded at ``pr``.
+def excess_demand(market: MarketSpec, pr: float) -> float:
+    """Market-wide demand minus supply at ``pr``; zero at clearing.
 
     Unitary demand scales with the household count under the
     per-household interpretation; linear demand is already aggregate.
     """
     q = market.demand.quantity(pr)
     if isinstance(market.demand, UnitaryDemand) and market.interpretation == PER_HOUSEHOLD:
-        return market.households * q
-    return q
+        q = market.households * q
+    return q - market.supply.quantity(pr)
 
 
-def excess_demand(market: MarketSpec, pr: float) -> float:
-    """Aggregate demand minus supply at ``pr``; zero at clearing."""
-    return aggregate_demand(market, pr) - market.supply.quantity(pr)
-
-
-def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float = 1) -> float:
+def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float) -> float:
     """``sqrt(n * k_s / k_d)`` for positive finite ``k_s``, ``k_d`` and ``n``.
 
     Where ``quotient``, the caller's float value of it, is a normal
-    double this is ``sqrt(quotient)``. Elsewhere ``k_s`` and ``k_d`` are
-    first scaled into ``[0.5, 1)`` by powers of two, which the root takes
-    back out exactly, so the result is what the direct formula would give
-    with an unbounded exponent range, rounded once more only if it is
-    itself subnormal or overflows to ``inf``.
+    double this is ``sqrt(quotient)``. Elsewhere ``k_s``, ``k_d`` and
+    ``n`` are first scaled into ``[0.5, 1)`` by powers of two, which the
+    root takes back out exactly, so the result is what the direct formula
+    would give with an unbounded exponent range, rounded once more only
+    if it is itself subnormal or overflows to ``inf``.
     """
     if _DBL_MIN <= quotient <= _DBL_MAX:
         return math.sqrt(quotient)
-    (m_s, e_s), (m_d, e_d) = math.frexp(k_s), math.frexp(k_d)
-    half, odd = divmod(e_s - e_d, 2)
-    root = math.sqrt(math.ldexp(n * m_s / m_d, odd))
-    # two steps of at most 2**525 each: the first is exact, so only the last can round
+    (m_s, e_s), (m_d, e_d), (m_n, e_n) = math.frexp(k_s), math.frexp(k_d), math.frexp(n)
+    half, odd = divmod(e_s - e_d + e_n, 2)
+    root = math.sqrt(math.ldexp(m_n * m_s / m_d, odd))
+    # two steps of at most 2**780 each: the first is exact, so only the last can round
     return root * 2.0 ** (half // 2) * 2.0 ** (half - half // 2)
 
 
 def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
     """Closed-form clearing point for the supported curve pairings.
 
-    Linear-linear: Pr* = q_d0 / (k_d - k_s). Unitary demand:
+    Linear-linear: Pr* = q_d0 / (k_d - k_s), with the slopes halved
+    first, exactly, where their difference overflows. Unitary demand:
     Pr* = sqrt(N * k_s / k_d) per-household, sqrt(k_s / k_d) aggregate.
     Raises ``DomainError`` when Pr* is not a positive finite double.
     """
     demand, supply = market.demand, market.supply
     if isinstance(demand, LinearDemand):
-        pr_star = demand.q_d0 / (supply.k_d - demand.k_s)
+        spread = supply.k_d - demand.k_s
+        if spread <= _DBL_MAX:
+            pr_star = demand.q_d0 / spread
+        else:
+            pr_star = demand.q_d0 / (0.5 * supply.k_d - 0.5 * demand.k_s) * 0.5
     else:
         n = market.households if market.interpretation == PER_HOUSEHOLD else 1
         pr_star = _sqrt_quotient(n * demand.k_s / supply.k_d, demand.k_s, supply.k_d, n)

@@ -1,9 +1,9 @@
 """Classical reference equations of state: ideal gas and Curie paramagnet.
 
 Both expose the same surface-evaluation contract as the market surface
-(axis labels, a closed form y(x, t), a signed residual, and rows of
-the closed form with the implicit form they satisfy), so samplers and
-comparison tooling treat all three interchangeably.
+(axis labels, a closed form y(x, t), and rows of the closed form with
+the implicit form they satisfy), so samplers and comparison tooling
+treat all three interchangeably.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class IdealGasEoS(Record):
             raise DomainError(f"volume must be positive, got {x}")
         return _hoisted("n*R*t", _hoisted("n*R", self.n * self.R) * t) / x
 
-    def residual(self, x: float, y: float, t: float) -> float:
-        return y - self.y_of(x, t)
-
     def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
         """Per t: the pressures over ``xs`` and the sides of ``P * V = n*R*T``.
 
@@ -92,9 +89,6 @@ class CurieParamagnetEoS(Record):
         if t <= 0:
             raise DomainError(f"temperature must be positive, got {t}")
         return _hoisted("D/mu0", self.D / self.mu0) * (x / t)
-
-    def residual(self, x: float, y: float, t: float) -> float:
-        return y - self.y_of(x, t)
 
     def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
         """Per t: the magnetizations over ``xs`` and the sides of ``M * T = (D/mu0) * B0``.

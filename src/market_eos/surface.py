@@ -9,7 +9,6 @@ market surface, the ideal gas and the Curie paramagnet.
   condition on t. It leaves out points whose hoisted constant
   (``n*R*t``, ``D/mu0``, ``K*x``) is subnormal: the audit below would
   compare against that same constant and miss the bits it lost.
-- ``residual(x, y, t)`` is ``y - y_of(x, t)``.
 - ``rows(xs, ts)`` yields, per t, the closed form over ``xs`` with its
   constants hoisted and the same bits as ``y_of``, plus the two sides of
   the implicit form ``y * w == r`` each y satisfies: ``P * V = n*R*T``,
@@ -282,9 +281,7 @@ class IsopriceCollapseReport(Record):
         }
 
 
-def isoprice_collapse_check(
-    market: MarketSpec, prices: list[float], rel_tol: float = COLLAPSE_REL
-) -> IsopriceCollapseReport:
+def isoprice_collapse_check(market: MarketSpec, prices: list[float]) -> IsopriceCollapseReport:
     """Generate cleared states at each price and test the line degeneracy.
 
     For unitary demand the cleared transaction quantity equals the
@@ -315,7 +312,7 @@ def isoprice_collapse_check(
         prices=tuple(prices),
         points=tuple(points),
         max_rel_deviation=max_rel,
-        collapse=max_rel <= rel_tol,
+        collapse=max_rel <= COLLAPSE_REL,
     )
 
 
@@ -337,7 +334,7 @@ class CurveCollapseReport(Record):
         }
 
 
-def family_collapse(family: IsocurveFamily, rel_tol: float = COLLAPSE_REL) -> CurveCollapseReport:
+def family_collapse(family: IsocurveFamily) -> CurveCollapseReport:
     """Pointwise comparison of all curves against the first one."""
     base = family.y_rows[0]
     max_rel = 0.0
@@ -348,7 +345,7 @@ def family_collapse(family: IsocurveFamily, rel_tol: float = COLLAPSE_REL) -> Cu
     return CurveCollapseReport(
         n_curves=len(family.y_rows),
         max_rel_difference=max_rel,
-        collapse=max_rel <= rel_tol,
+        collapse=max_rel <= COLLAPSE_REL,
     )
 
 

@@ -32,12 +32,6 @@ class MarketRegistry(Record):
         set_field(self, "entries", dict(entries))
         set_field(self, "quantum", quantum)
 
-    def market(self, name: str) -> MarketSpec:
-        try:
-            return self.entries[name]
-        except KeyError:
-            raise KeyError(f"unknown market {name!r}") from None
-
 
 def quantize(price: float, quantum: float) -> int:
     """Integer tick of ``price`` on the ``quantum`` grid, half-to-even.
@@ -51,11 +45,10 @@ def quantize(price: float, quantum: float) -> int:
     return round(scaled)
 
 
-def _tick(registry: MarketRegistry, name: str) -> int:
+def _tick(name: str, market: MarketSpec, quantum: float) -> int:
     """Quantized clearing price of one market; errors name the market."""
-    market = registry.market(name)
     try:
-        return quantize(clearing_price_analytic(market).clearing_price, registry.quantum)
+        return quantize(clearing_price_analytic(market).clearing_price, quantum)
     except (BracketingError, DomainError, InvariantError) as exc:
         raise type(exc)(f"market {name!r}: {exc}") from exc
 
@@ -80,8 +73,8 @@ def verify_equivalence_laws(registry: MarketRegistry) -> tuple[tuple[float, tupl
     with the market named.
     """
     by_tick: dict[int, list[str]] = {}
-    for name in registry.entries:
-        by_tick.setdefault(_tick(registry, name), []).append(name)
+    for name, market in registry.entries.items():
+        by_tick.setdefault(_tick(name, market, registry.quantum), []).append(name)
     return tuple(
         (tick * registry.quantum, tuple(sorted(members)))
         for tick, members in sorted(by_tick.items())

@@ -86,7 +86,8 @@ def test_c3_equilibrium_on_surface_and_k_identity():
         eq = clearing_price_analytic(market)
         q_s = eq.clearing_quantity
         q_d = float(market.demand.quantity(eq.clearing_price))
-        if abs(eos.residual(q_s, q_d, eq.clearing_price)) > 1e-12 * max(1.0, q_d):
+        # the implicit form q_d * Pr = K * Q_s, not the closed form that built K
+        if abs(q_d * eq.clearing_price - eos.K * q_s) > 1e-12 * eos.K * q_s:
             ok = False
             break
         if abs(eos.K * market.households - eq.clearing_price) > 1e-12 * eq.clearing_price:
@@ -207,7 +208,7 @@ def test_c7_surface_export_determinism(tmp_path):
         outputs.append((code, out.read_bytes()))
     ok = outputs[0][0] == 0 and outputs[1][0] == 0 and outputs[0][1] == outputs[1][1]
     if ok:
-        # independent residual audit of every exported point
+        # every exported point on the implicit form y * t = K * x
         eos = derive_unitary_eos(
             MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)
         )
@@ -215,10 +216,10 @@ def test_c7_surface_export_determinism(tmp_path):
         ok = len(lines) == 2500
         for line in lines:
             x, t, y = (float(cell) for cell in line.split(","))
-            if abs(eos.residual(x, y, t)) > 1e-9 * max(1.0, abs(y)):
+            if abs(y * t - eos.K * x) > 1e-9 * eos.K * x:
                 ok = False
                 break
-    report(7, "cmd_surface 50x50 byte-identical + residual audit", ok, time.perf_counter() - start, 2.0)
+    report(7, "cmd_surface 50x50 byte-identical + implicit-form audit", ok, time.perf_counter() - start, 2.0)
 
 
 def test_c8_finite_difference_slope_audit():

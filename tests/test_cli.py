@@ -18,12 +18,13 @@ from market_eos import (
     derive_unitary_eos,
     isocurves,
     load_config,
-    load_schema,
     render_chunks,
     render_csv,
     render_json,
     sample_surface,
 )
+
+from packaged_schemas import load_schema
 
 CONFIG = {
     "version": "1",
@@ -146,6 +147,32 @@ def test_solve_far_outside_the_unit_price_decades(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--config", str(path), "wide")
     assert code == 0, err
     assert out.startswith("Pr*=1e+156 ")
+
+
+@pytest.mark.parametrize("command", ["solve", "eos", "zeroth"])
+def test_huge_household_count_exits_3_without_a_traceback(tmp_path, command):
+    # Pr* = sqrt(1e308 * 1e300 / 1e-300) = 1e454 is beyond the largest double
+    path = tmp_path / "crowd.json"
+    crowd = {"name": "crowd", "family": "unitary", "k_s": 1e300, "k_d": 1e-300, "households": 1e308}
+    path.write_text(json.dumps({"version": "1", "markets": [crowd]}), encoding="utf-8")
+    argv = [command, "--config", str(path)] + ([] if command == "zeroth" else ["crowd"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "market_eos.cli", *argv], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert "clearing price inf is not a positive finite double" in result.stderr
+
+
+def test_solve_linear_market_whose_slope_difference_overflows(tmp_path, capsys):
+    # k_d - k_s = 2e308 overflows, but Pr* = 1e300 / 2e308 = 5e-09 is a normal double
+    path = tmp_path / "steep.json"
+    steep = {"name": "steep", "family": "linear", "k_s": -1e308, "q_d0": 1e300, "k_d": 1e308}
+    path.write_text(json.dumps({"version": "1", "markets": [steep]}), encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--config", str(path), "steep")
+    assert code == 0, err
+    assert out.startswith("Pr*=5e-09 ")
 
 
 def test_eos_with_a_subnormal_surface_constant_exits_3(tmp_path, capsys):

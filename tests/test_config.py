@@ -14,10 +14,11 @@ from market_eos import (
     LinearDemand,
     UnitaryDemand,
     load_config,
-    load_schema,
     parse_config,
 )
 from market_eos.surface import MAX_GRID_POINTS
+
+from packaged_schemas import load_schema
 
 MINIMAL = {"version": "1"}
 
@@ -39,7 +40,6 @@ FULL = {
 
 def test_minimal_document():
     cfg = parse_config(MINIMAL)
-    assert cfg.version == "1"
     assert cfg.markets == {}
     assert cfg.eos_entities == {}
     assert cfg.grid is None
@@ -147,7 +147,7 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(FULL), encoding="utf-8")
     cfg = load_config(path)
-    assert cfg.source_path == path
+    assert cfg == parse_config(FULL)
     assert set(cfg.markets) == {"a", "b"}
 
 

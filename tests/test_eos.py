@@ -136,16 +136,19 @@ def test_derive_rejects_non_finite_surface_constant(monkeypatch):
     with pytest.raises(DomainError):
         derive_unitary_eos(huge)
     # the K*N identity check itself must fail when both sides are infinite
-    monkeypatch.setattr(eos_module, "clearing_price_analytic", lambda m: EquilibriumPoint(math.inf, math.inf))
+    monkeypatch.setattr(eos_module, "clearing_price_analytic", lambda m: EquilibriumPoint(math.inf, math.inf, 0.0))
     with pytest.raises(InvariantError, match="identity check"):
         derive_unitary_eos(huge)
 
 
 def test_eos_residual_hand_values():
     eos = derive_unitary_eos(unitary_market(8.0, 2.0, 4))  # K = 1
-    assert eos.residual(8.0, 2.0, 4.0) == 0.0
-    assert eos.residual(8.0, 3.0, 4.0) == 1.0
-    assert eos.residual(0.0, 0.0, 1.0) == 0.0
+    # rows yields (q_d, Pr, K * Q_s) per point, with q_d * Pr == K * Q_s
+    assert list(eos.rows([8.0, 0.0], [4.0, 1.0])) == [
+        ([2.0, 0.0], [4.0, 4.0], [8.0, 0.0]),
+        ([8.0, 0.0], [1.0, 1.0], [8.0, 0.0]),
+    ]
+    assert (eos.y_of(8.0, 4.0), eos.y_of(0.0, 1.0)) == (2.0, 0.0)
 
 
 def test_eos_to_dict_field_names():
@@ -173,7 +176,8 @@ def test_equilibrium_point_lies_on_surface(k_s, k_d, n):
     eq = clearing_price_analytic(market)
     q_s = eq.clearing_quantity
     q_d = market.demand.quantity(eq.clearing_price)
-    assert abs(eos.residual(q_s, q_d, eq.clearing_price)) <= 1e-12 * max(1.0, q_d)
+    # the implicit form q_d * Pr = K * Q_s, not the closed form that built K
+    assert abs(q_d * eq.clearing_price - eos.K * q_s) <= 1e-12 * eos.K * q_s
     assert abs(eos.K * n - eq.clearing_price) <= 1e-12 * eq.clearing_price
 
 
@@ -243,5 +247,4 @@ def test_eos_domain_check():
         eos.y_of(1.0, 0.0)
     assert eos.y_of(8.0, 4.0) == 2.0
     assert eos.axis_labels() == ("Q_s", "q_d", "Pr")
-    assert eos.eps_s == 2.0
     assert math.isclose(eos.K, 1.0)

@@ -5,7 +5,7 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import market_eos.equilibrium as equilibrium_module
@@ -17,7 +17,6 @@ from market_eos import (
     LinearSupply,
     MarketSpec,
     UnitaryDemand,
-    aggregate_demand,
     auto_bracket,
     clearing_price_analytic,
     clearing_price_numeric,
@@ -57,10 +56,10 @@ def test_unitary_aggregate_clearing_point():
 
 
 def test_aggregate_demand_interpretations():
-    # per-household multiplies by N, aggregate does not
-    assert aggregate_demand(UNITARY4, 4.0) == 8.0
-    assert aggregate_demand(UNITARY_AGG, 4.0) == 2.0
-    assert aggregate_demand(LINEAR, 3.0) == 4.0
+    # per-household multiplies demand by N, aggregate does not; supply is k_d * pr
+    assert excess_demand(UNITARY4, 4.0) == 8.0 - 8.0
+    assert excess_demand(UNITARY_AGG, 4.0) == 2.0 - 8.0
+    assert excess_demand(LINEAR, 3.0) == 4.0 - 9.0
 
 
 def test_bisection_matches_analytic_linear():
@@ -128,8 +127,8 @@ def test_auto_bracket_degenerate_intercept():
         MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-310)),
         # sqrt(4 * 1e308 / 1e-308) = 2e308 is beyond the largest double
         MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-308), households=4),
-        # k_d - k_s overflows, so q_d0 / (k_d - k_s) is 0
-        MarketSpec(demand=LinearDemand(k_s=-1e308, q_d0=1.0), supply=LinearSupply(k_d=1e308)),
+        # q_d0 / (k_d - k_s) = 1e-300 / 2e308 = 5e-609 rounds to 0
+        MarketSpec(demand=LinearDemand(k_s=-1e308, q_d0=1e-300), supply=LinearSupply(k_d=1e308)),
     ],
 )
 def test_analytic_rejects_clearing_price_outside_positive_doubles(market):
@@ -190,6 +189,9 @@ def test_market_spec_invariants():
         MarketSpec(demand=LinearSupply(k_d=3.0), supply=LinearSupply(k_d=3.0))
     with pytest.raises(InvariantError):
         MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=10.0), supply=LinearSupply(k_d=3.0), households=0)
+    # a count beyond the largest double cannot take part in float arithmetic
+    with pytest.raises(InvariantError, match="households"):
+        MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=10**400)
     with pytest.raises(InvariantError):
         MarketSpec(
             demand=LinearDemand(k_s=-2.0, q_d0=10.0),
@@ -268,6 +270,8 @@ scales = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
     linear=st.booleans(),
     agg=st.booleans(),
 )
+# k_d - k_s overflows while the price, 1e300 / 2e308 = 5e-09, is a normal double
+@example(k_s=1e308, q_d0=1e300, k_d=1e308, n=1, linear=True, agg=False)
 def test_solvers_agree_within_two_ulp_over_three_hundred_decades(k_s, q_d0, k_d, n, linear, agg):
     demand = LinearDemand(k_s=-k_s, q_d0=q_d0) if linear else UnitaryDemand(k_s=k_s)
     market = MarketSpec(

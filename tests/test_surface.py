@@ -24,7 +24,6 @@ from market_eos import (
     family_collapse,
     isocurves,
     isoprice_collapse_check,
-    load_schema,
     render_chunks,
     render_csv,
     render_json,
@@ -33,6 +32,7 @@ from market_eos import (
 from market_eos.surface import AUDIT_EPS, MAX_GRID_POINTS
 
 from grid_oracles import curves, document, points
+from packaged_schemas import load_schema
 
 UNIT_EOS = derive_unitary_eos(
     MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)

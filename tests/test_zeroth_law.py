@@ -50,11 +50,6 @@ def test_unequal_prices_not_in_equilibrium():
     assert verify_equivalence_laws(registry(A=MARKET_A, D=MARKET_D)) == ((2.0, ("A",)), (4.0, ("D",)))
 
 
-def test_unknown_market_name():
-    with pytest.raises(KeyError, match="unknown market 'nope'"):
-        registry(A=MARKET_A).market("nope")
-
-
 def test_ranking_with_tie():
     ranked = rank_markets(registry(A=MARKET_A, D=MARKET_D, B=MARKET_B))
     assert ranked == [("A", 2.0), ("B", 2.0), ("D", 4.0)]
@@ -95,8 +90,6 @@ def test_registry_invariants():
     for quantum in (0.0, float("inf"), float("nan")):
         with pytest.raises(InvariantError):
             MarketRegistry(entries={}, quantum=quantum)
-    with pytest.raises(KeyError):
-        registry(A=MARKET_A).market("missing")
 
 
 def test_ranking_consistent_with_classes():
