@@ -192,16 +192,16 @@ def cmd_zeroth(args) -> int:
     registry = cfg.registry()
     # header first, so a market that fails to solve leaves only the header on stdout
     print("market quantized_price")
-    classes = verify_equivalence_laws(registry)
-    for price, members in classes:
-        for name in members:
-            print(f"{name} {_fmt(price)}")
+    # the rest is written at once, each class price formatted once
+    classes = [(_fmt(price), members) for price, members in verify_equivalence_laws(registry)]
+    report = [f"{name} {price}\n" for price, members in classes for name in members]
     # the relation is a partition by integer tick, so the three laws hold for every registry
-    print("laws: reflexive=pass symmetric=pass transitive=pass")
+    report.append("laws: reflexive=pass symmetric=pass transitive=pass\n")
     for price, members in classes:
         labels = {cfg.goods[m] for m in members if m in cfg.goods}
         note = " [mixed goods]" if len(labels) > 1 else ""
-        print(f"class price={_fmt(price)}: {', '.join(members)}{note}")
+        report.append(f"class price={price}: {', '.join(members)}{note}\n")
+    sys.stdout.writelines(report)
     return 0
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
-from .equilibrium import MarketSpec
+from .equilibrium import PER_HOUSEHOLD, MarketSpec
 from .errors import ConfigError, InvariantError
 from .record import Record, set_field
 from .reference_eos import CurieParamagnetEoS, IdealGasEoS
@@ -43,6 +43,8 @@ _SHAPES: dict[str, tuple[dict[str, type], tuple[str, ...]]] = {
 # In the ``markets`` and ``eos`` lists, the field that names a block's kind, and its values.
 _KINDS = {"markets": ("family", ("linear", "unitary")), "eos": ("kind", ("ideal_gas", "paramagnet"))}
 _TYPE_NAMES = {float: "number", int: "integer", str: "string", list: "array", dict: "object"}
+# The least integer whose float() overflows, as a JSON literal of it does in load_config.
+_INT_LIMIT = 2**1024 - 2**970
 
 
 class ConfigDocument(Record):
@@ -80,7 +82,7 @@ def _has_type(value: object, expected: type) -> bool:
 
 
 def _checked(block: object, kind: str, where: str) -> dict:
-    """A copy of ``block``, integer fields as ``int``, once it has the shape of ``kind``; see ``_KINDS``."""
+    """``block`` once it has the shape of ``kind`` (see ``_KINDS``), copied only to make integral floats ``int``."""
     if not isinstance(block, dict):
         raise _invalid(where, f"{block!r} is not of type 'object'")
     if kind in _KINDS:
@@ -93,14 +95,23 @@ def _checked(block: object, kind: str, where: str) -> dict:
     for key in required:
         if key not in block:
             raise _invalid(where, f"{key!r} is a required property")
+    converted = None
     for key, value in block.items():
-        if key not in fields:
+        expected = fields.get(key)
+        if type(value) is expected:
+            continue
+        if expected is None:
             raise _invalid(where, f"unknown field {key!r}")
-        if not _has_type(value, fields[key]):
-            raise _invalid(f"{where}/{key}", f"{value!r} is not of type {_TYPE_NAMES[fields[key]]!r}")
+        if not _has_type(value, expected):
+            raise _invalid(f"{where}/{key}", f"{value!r} is not of type {_TYPE_NAMES[expected]!r}")
+        if expected is int:
+            converted = converted or dict(block)
+            converted[key] = int(value)
+        elif isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
+            raise _invalid(f"{where}/{key}", "integer is outside the finite double range")
     if block.get("name") == "":
         raise _invalid(f"{where}/name", "name must not be empty")
-    return {key: int(value) if fields[key] is int else value for key, value in block.items()}
+    return block if converted is None else converted
 
 
 def _built(label: str, build, *args, **kwargs):
@@ -113,11 +124,11 @@ def _built(label: str, build, *args, **kwargs):
 
 def _build_market(entry: dict) -> MarketSpec:
     if entry["family"] == "linear":
-        demand = LinearDemand(k_s=entry["k_s"], q_d0=entry["q_d0"])
+        demand = LinearDemand(entry["k_s"], entry["q_d0"])
     else:
-        demand = UnitaryDemand(k_s=entry["k_s"])
-    options = {key: entry[key] for key in ("households", "interpretation") if key in entry}
-    return MarketSpec(demand=demand, supply=LinearSupply(k_d=entry["k_d"]), **options)
+        demand = UnitaryDemand(entry["k_s"])
+    return MarketSpec(demand, LinearSupply(entry["k_d"]), entry.get("households", 1),
+                      entry.get("interpretation", PER_HOUSEHOLD))
 
 
 def _build_eos(entry: dict) -> IdealGasEoS | CurieParamagnetEoS:
@@ -146,7 +157,10 @@ def parse_config(document: dict) -> ConfigDocument:
             name = entry["name"]
             if name in markets or name in eos_entities:
                 raise ConfigError(f"duplicate {label} name {name!r}")
-            built[name] = _built(f"{label} {name!r}", build, entry)
+            try:
+                built[name] = build(entry)
+            except InvariantError as exc:  # the label is formatted only here, not once per block
+                raise ConfigError(f"{label} {name!r}: {exc}") from exc
             if "goods" in entry:
                 goods[name] = entry["goods"]
 
@@ -192,12 +206,12 @@ def load_config(path: str | Path) -> ConfigDocument:
     path = Path(path)
     try:
         text = path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         document = json.loads(
             text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_reject_constant
         )
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(document)

@@ -1,6 +1,7 @@
 """End-to-end command tests through cli.main, in-process except where a memory cap needs a child."""
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -595,6 +596,38 @@ def test_zeroth_infinite_quantum_exits_2(tmp_path, capsys):
     assert "Infinity" in err
 
 
+def registry_300() -> dict:
+    """300 markets: 37 shared prices across mixed goods, then 20 pairs of one good or none."""
+    markets = []
+    for i in range(300):
+        price = (i % 37 + 1) / 7 if i < 260 else (40 + (i - 260) // 2) / 7
+        k_d = 1.0 + i % 7
+        entry = {"name": f"m{i:03d}"}
+        if i % 3 == 0:
+            k_s = -(1.0 + i % 5)
+            entry.update(family="linear", k_s=k_s, q_d0=price * (k_d - k_s), k_d=k_d)
+        else:
+            households = 1 + i % 4
+            entry.update(family="unitary", k_s=price * price * k_d / households, k_d=k_d, households=households)
+        if i % 5 and i < 260:
+            entry["goods"] = ("bread", "grain", "credit")[i % 3]
+        elif i >= 280:
+            entry["goods"] = "steel"
+        markets.append(entry)
+    return {"version": "1", "markets": markets}
+
+
+def test_zeroth_report_on_a_300_market_registry_is_pinned(tmp_path, capsys):
+    code, out, err = zeroth_on(tmp_path, capsys, **registry_300())
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 300 + 1 + 57
+    assert out.count(" [mixed goods]\n") == 37
+    # recorded before the report was collected into one write
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "02cabfe0dbf733789568ce06f42df0e7b18ecce624076b2cb4f7b6632ba2210b"
+    )
+
+
 def test_strict_config_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, extra_field=1)), encoding="utf-8")
@@ -607,6 +640,23 @@ def test_missing_config_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--config", "/no/such/config.json", "staple")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff\xfe{"version": "1"}')
+    code, out, err = run(capsys, "zeroth", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec can't decode")
+
+
+def test_config_nested_too_deep_for_the_json_parser_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"version": "1", "x": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    code, out, err = run(capsys, "zeroth", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config {path} is not valid JSON: maximum recursion depth exceeded")
 
 
 def test_help_for_every_subcommand(capsys):

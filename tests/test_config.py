@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,82 @@ def test_non_finite_values_from_dicts_rejected(bad):
             parse_config(doc)
 
 
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"version": "1", "markets": [dict(FULL["markets"][0], k_s=-HUGE)]}, "markets/0/k_s"),
+    ({"version": "1", "markets": [dict(FULL["markets"][1], k_d=HUGE)]}, "markets/0/k_d"),
+    ({"version": "1", "markets": [dict(FULL["markets"][0], q_d0=HUGE)]}, "markets/0/q_d0"),
+    (dict(MINIMAL, grid=dict(FULL["grid"], x_min=HUGE)), "grid/x_min"),
+    ({"version": "1", "quantum": HUGE}, "<root>/quantum"),
+    ({"version": "1", "eos": [{"name": "g", "kind": "ideal_gas", "n": HUGE}]}, "eos/0/n"),
+])
+def test_integers_beyond_the_double_range_from_dicts_rejected(doc, where):
+    with pytest.raises(ConfigError, match=f"^invalid config at {where}: integer is outside the finite double range$"):
+        parse_config(doc)
+
+
+def test_integers_at_the_edge_of_the_double_range():
+    # float() rounds this integer to the largest double; one more and it overflows
+    edge = 2**1024 - 2**970 - 1
+    cfg = parse_config({"version": "1", "markets": [dict(FULL["markets"][1], k_d=edge, k_s=edge)]})
+    assert float(cfg.markets["b"].supply.k_d) == sys.float_info.max
+    with pytest.raises(ConfigError, match="outside the finite double range"):
+        parse_config({"version": "1", "markets": [dict(FULL["markets"][1], k_d=edge + 1)]})
+
+
+def unitary_block(**fields):
+    return {"version": "1", "markets": [dict({"name": "a", "family": "unitary", "k_s": 8.0, "k_d": 2.0}, **fields)]}
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"k_s": "x", "color": "red"}, "at markets/0/k_s: 'x' is not of type 'number'"),
+    ({"color": "red", "k_s": "x"}, "at markets/0: unknown field 'color'"),
+])
+def test_first_shape_error_in_field_order_wins(fields, error):
+    doc = unitary_block()
+    del doc["markets"][0]["k_s"]
+    doc["markets"][0].update(fields)
+    with pytest.raises(ConfigError, match=f"^invalid config {error}$"):
+        parse_config(doc)
+
+
+def test_missing_field_reported_before_unknown_field():
+    doc = {"version": "1", "markets": [{"color": "red", "name": "a", "family": "unitary", "k_s": 8.0}]}
+    with pytest.raises(ConfigError, match="^invalid config at markets/0: 'k_d' is a required property$"):
+        parse_config(doc)
+
+
+def test_empty_name_checked_after_field_types():
+    with pytest.raises(ConfigError, match="^invalid config at markets/0/k_d: 'x' is not of type 'number'$"):
+        parse_config(unitary_block(name="", k_d="x"))
+    with pytest.raises(ConfigError, match="^invalid config at markets/0/name: name must not be empty$"):
+        parse_config(unitary_block(name=""))
+
+
+def test_integral_float_household_count_becomes_an_int():
+    households = parse_config(unitary_block(households=3.0)).markets["a"].households
+    assert households == 3
+    assert type(households) is int
+
+
+def test_bool_in_a_number_field_rejected():
+    with pytest.raises(ConfigError, match="^invalid config at markets/0/k_s: True is not of type 'number'$"):
+        parse_config(unitary_block(k_s=True))
+
+
+def test_parse_config_leaves_its_input_unchanged():
+    doc = copy.deepcopy(FULL)
+    doc["markets"][1]["households"] = 4.0
+    doc["grid"]["nx"] = 5.0
+    before = copy.deepcopy(doc)
+    cfg = parse_config(doc)
+    assert doc == before
+    assert type(doc["markets"][1]["households"]) is float and type(doc["grid"]["nx"]) is float
+    assert cfg == parse_config(FULL)
+
+
 def test_duplicate_names_rejected():
     doc = {
         "version": "1",
@@ -177,8 +254,8 @@ def test_packaged_schemas_load():
 
 # Differential test: the parser (shape table plus constructors) must reject
 # exactly the documents the packaged schema rejects, plus the rules the
-# schema cannot state: unique names, ordered grid bounds and the grid point
-# limit.
+# schema cannot state: unique names, ordered grid bounds, the grid point
+# limit and integers whose float() overflows.
 CONFIG_VALIDATOR = Draft202012Validator(load_schema("config"))
 # every field the schema knows, plus one it does not
 FIELD_NAMES = ["version", "quantum", "output_dir", "markets", "eos", "grid", "name", "family", "k_s", "q_d0",
@@ -201,7 +278,9 @@ def oracle_rejects(doc) -> bool:
     grid = doc.get("grid")
     disordered = grid is not None and not (grid["x_min"] < grid["x_max"] and grid["t_min"] < grid["t_max"])
     oversized = grid is not None and grid["nx"] * grid["nt"] > MAX_GRID_POINTS
-    return len(set(names)) < len(names) or disordered or oversized
+    blocks = [doc, grid or {}] + doc.get("markets", []) + doc.get("eos", [])
+    huge = any(type(value) is int and abs(value) >= 2**1024 - 2**970 for block in blocks for value in block.values())
+    return len(set(names)) < len(names) or disordered or oversized or huge
 
 
 BLOCK_PATHS = [(), ("markets", 0), ("markets", 1), ("eos", 0), ("eos", 1), ("grid",)]
