@@ -36,8 +36,6 @@ from .surface import render_csv, render_json  # noqa: F401
 # rank_markets is not called here; perfbench's tracer wraps it as cli.rank_markets
 from .zeroth_law import rank_markets, verify_equivalence_laws  # noqa: F401
 
-OUT_DIR_ENV = "MARKET_EOS_OUT_DIR"
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
@@ -57,23 +55,14 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _resolve_out(args, cfg: ConfigDocument) -> Path | None:
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    if out.is_absolute():
-        return out
-    base = args.out_dir or cfg.output_dir or os.environ.get(OUT_DIR_ENV)
-    return Path(base) / out if base else out
-
-
-def _emit(chunks: Iterable[str], out_path: Path | None) -> None:
-    """Write ``chunks`` one at a time to stdout, or to ``out_path`` and then name it."""
-    if out_path is None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` one at a time to stdout, or to the file ``out`` and then name it."""
+    if out is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(out_path, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
+        out_path = Path(out)  # a relative path names a file in the working directory
+        with open(out_path, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
         print(f"wrote {out_path}")
 
 
@@ -105,8 +94,7 @@ def _resolve_grid(args, cfg: ConfigDocument) -> GridSpec:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+def cmd_solve(args, cfg: ConfigDocument) -> int:
     market = cfg.market(args.market)
     analytic = clearing_price_analytic(market)
     numeric = clearing_price_numeric(market)
@@ -132,32 +120,28 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_consistency(args) -> int:
-    cfg = load_config(args.config)
+def cmd_consistency(args, cfg: ConfigDocument) -> int:
     report = check_linear_consistency(cfg.market(args.market))
-    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], _resolve_out(args, cfg))
+    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     return 0
 
 
-def cmd_eos(args) -> int:
-    cfg = load_config(args.config)
+def cmd_eos(args, cfg: ConfigDocument) -> int:
     eos = derive_unitary_eos(cfg.market(args.market))
-    _emit([json.dumps(eos.to_dict(), indent=2) + "\n"], _resolve_out(args, cfg))
+    _emit([json.dumps(eos.to_dict(), indent=2) + "\n"], args.out)
     print(f"K={_fmt(eos.K)} amplification={_fmt(amplification_factor(eos))} (D/mu0 analogue)")
     return 0
 
 
-def cmd_surface(args) -> int:
-    cfg = load_config(args.config)
+def cmd_surface(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     grid = _resolve_grid(args, cfg)
     sampled = sample_surface(eos, grid)
-    _emit(render_chunks(sampled, args.format), _resolve_out(args, cfg))
+    _emit(render_chunks(sampled, args.format), args.out)
     return 0
 
 
-def cmd_isocurves(args) -> int:
-    cfg = load_config(args.config)
+def cmd_isocurves(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     t_values = _parse_float_list(args.t_values, "t-values")
     x_lo = args.x_min if args.x_min is not None else (cfg.grid.x_min if cfg.grid else None)
@@ -166,20 +150,18 @@ def cmd_isocurves(args) -> int:
     if x_lo is None or x_hi is None or n_points is None:
         raise ConfigError("x range is set neither in the config grid nor on the command line")
     family = isocurves(eos, t_values, (x_lo, x_hi), n_points)
-    _emit(render_chunks(family, args.format), _resolve_out(args, cfg))
+    _emit(render_chunks(family, args.format), args.out)
     verdict = family_collapse(family)
     print(f"curves={verdict.n_curves} collapse={str(verdict.collapse).lower()}")
     return 0
 
 
-def cmd_collapse(args) -> int:
-    cfg = load_config(args.config)
+def cmd_collapse(args, cfg: ConfigDocument) -> int:
     market = cfg.market(args.market)
     prices = _parse_float_list(args.prices, "prices")
     report = isoprice_collapse_check(market, prices)
-    out_path = _resolve_out(args, cfg)
-    if out_path is not None:
-        _emit([json.dumps(report.to_dict(), indent=2) + "\n"], out_path)
+    if args.out is not None:
+        _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     print(
         f"collapse={str(report.collapse).lower()} slope=1/{market.households} "
         f"max_rel_deviation={_fmt(report.max_rel_deviation)}"
@@ -187,8 +169,7 @@ def cmd_collapse(args) -> int:
     return 0
 
 
-def cmd_zeroth(args) -> int:
-    cfg = load_config(args.config)
+def cmd_zeroth(args, cfg: ConfigDocument) -> int:
     registry = cfg.registry()
     # header first, so a market that fails to solve leaves only the header on stdout
     print("market quantized_price")
@@ -209,7 +190,6 @@ def _add_common(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON config file")
     if with_out:
         sub.add_argument("--out", help="output file path; nothing is written without it")
-        sub.add_argument("--out-dir", help=f"base directory for relative --out paths (overrides ${OUT_DIR_ENV})")
 
 
 def _add_grid_overrides(sub: argparse.ArgumentParser) -> None:
@@ -282,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,8 +32,7 @@ _MARKET_FIELDS = {"name": str, "family": str, "k_s": float, "k_d": float,
                   "households": int, "interpretation": str, "goods": str}
 _GRID_FIELDS = {"x_min": float, "x_max": float, "nx": int, "t_min": float, "t_max": float, "nt": int}
 _SHAPES: dict[str, tuple[dict[str, type], tuple[str, ...]]] = {
-    "config": ({"version": str, "quantum": float, "output_dir": str, "markets": list, "eos": list,
-                "grid": dict}, ("version",)),
+    "config": ({"version": str, "quantum": float, "markets": list, "eos": list, "grid": dict}, ("version",)),
     "linear": ({**_MARKET_FIELDS, "q_d0": float}, ("name", "family", "k_s", "q_d0", "k_d")),
     "unitary": (_MARKET_FIELDS, ("name", "family", "k_s", "k_d")),
     "ideal_gas": ({"name": str, "kind": str, "n": float, "R": float}, ("name", "kind")),
@@ -50,16 +49,15 @@ _INT_LIMIT = 2**1024 - 2**970
 class ConfigDocument(Record):
     """Validated configuration with domain objects already built."""
 
-    __slots__ = ("markets", "goods", "eos_entities", "grid", "output_dir", "quantum")
+    __slots__ = ("markets", "goods", "eos_entities", "grid", "quantum")
 
     def __init__(self, markets: dict[str, MarketSpec], goods: dict[str, str],
                  eos_entities: dict[str, IdealGasEoS | CurieParamagnetEoS], grid: GridSpec | None = None,
-                 output_dir: str | None = None, quantum: float = DEFAULT_QUANTUM) -> None:
+                 quantum: float = DEFAULT_QUANTUM) -> None:
         set_field(self, "markets", markets)
         set_field(self, "goods", goods)
         set_field(self, "eos_entities", eos_entities)
         set_field(self, "grid", grid)
-        set_field(self, "output_dir", output_dir)
         set_field(self, "quantum", quantum)
 
     def market(self, name: str) -> MarketSpec:
@@ -81,13 +79,27 @@ def _has_type(value: object, expected: type) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float) if expected is float else expected)
 
 
+def _check_range(value: object, where: str) -> None:
+    """Reject an integer no double holds, also inside an array or object, before a message quotes it.
+
+    ``repr`` raises ``ValueError`` on an integer of more than 4300 digits.
+    """
+    if isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _check_range(item, where)
+    elif isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
+        raise _invalid(where, "integer is outside the finite double range")
+
+
 def _checked(block: object, kind: str, where: str) -> dict:
     """``block`` once it has the shape of ``kind`` (see ``_KINDS``), copied only to make integral floats ``int``."""
     if not isinstance(block, dict):
+        _check_range(block, where)
         raise _invalid(where, f"{block!r} is not of type 'object'")
     if kind in _KINDS:
         key, kinds = _KINDS[kind]
         if block.get(key) not in kinds:
+            _check_range(block.get(key), f"{where}/{key}")
             choices = ", ".join(map(repr, kinds))
             raise _invalid(where, f"{key} must be one of {choices}, got {block.get(key)!r}")
         kind = block[key]
@@ -98,17 +110,16 @@ def _checked(block: object, kind: str, where: str) -> dict:
     converted = None
     for key, value in block.items():
         expected = fields.get(key)
-        if type(value) is expected:
+        if type(value) is expected and (expected is not int or -_INT_LIMIT < value < _INT_LIMIT):
             continue
         if expected is None:
             raise _invalid(where, f"unknown field {key!r}")
+        _check_range(value, f"{where}/{key}")
         if not _has_type(value, expected):
             raise _invalid(f"{where}/{key}", f"{value!r} is not of type {_TYPE_NAMES[expected]!r}")
         if expected is int:
             converted = converted or dict(block)
             converted[key] = int(value)
-        elif isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
-            raise _invalid(f"{where}/{key}", "integer is outside the finite double range")
     if block.get("name") == "":
         raise _invalid(f"{where}/name", "name must not be empty")
     return block if converted is None else converted
@@ -176,7 +187,6 @@ def parse_config(document: dict) -> ConfigDocument:
         goods=goods,
         eos_entities=eos_entities,
         grid=grid,
-        output_dir=document.get("output_dir"),
         quantum=quantum,
     )
 

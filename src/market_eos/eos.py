@@ -113,17 +113,6 @@ class ConsistencyReport(Record):
         set_field(self, "consistent", consistent)
         set_field(self, "reason", reason)
 
-    def to_dict(self) -> dict:
-        return {
-            "eps_d_squared": self.eps_d_squared,
-            "eps_s_squared": self.eps_s_squared,
-            "eps_d_direct": self.eps_d_direct,
-            "classification_d": self.classification_d,
-            "classification_s": self.classification_s,
-            "consistent": self.consistent,
-            "reason": self.reason,
-        }
-
 
 def linear_consistency_from_coefficients(
     k_s: float, k_d: float, k_pr: float = 1.0
@@ -209,7 +198,7 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     k_s, k_d, n = market.demand.k_s, market.supply.k_d, market.households
     supply_n = k_d * n
     # a subnormal k_d*N has lost bits already: an infinite quotient sends the root down the rescale path
-    k = _hoisted("K", _sqrt_quotient(k_s / supply_n if supply_n >= _DBL_MIN else math.inf, k_s, k_d, 1 / n))
+    k = _hoisted("K", _sqrt_quotient(k_s / supply_n if supply_n >= _DBL_MIN else math.inf, k_s, k_d, n, -1))
     pr_star = clearing_price_analytic(market).clearing_price
     if not (abs(k - pr_star / n) <= EOS_SELF_CHECK_REL * (pr_star / n)):
         raise InvariantError(

@@ -71,21 +71,22 @@ def excess_demand(market: MarketSpec, pr: float) -> float:
     return q - market.supply.quantity(pr)
 
 
-def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float) -> float:
-    """``sqrt(n * k_s / k_d)`` for positive finite ``k_s``, ``k_d`` and ``n``.
+def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float, n_power: int = 1) -> float:
+    """``sqrt(n**n_power * k_s / k_d)`` for positive finite ``k_s``, ``k_d`` and ``n``, ``n_power`` 1 or -1.
 
     Where ``quotient``, the caller's float value of it, is a normal
     double this is ``sqrt(quotient)``. Elsewhere ``k_s``, ``k_d`` and
     ``n`` are first scaled into ``[0.5, 1)`` by powers of two, which the
     root takes back out exactly, so the result is what the direct formula
     would give with an unbounded exponent range, rounded once more only
-    if it is itself subnormal or overflows to ``inf``.
+    if it is itself subnormal or overflows to ``inf``. No reciprocal of
+    ``n`` is formed, since ``1/n`` is subnormal for ``n > 2**1022``.
     """
     if _DBL_MIN <= quotient <= _DBL_MAX:
         return math.sqrt(quotient)
     (m_s, e_s), (m_d, e_d), (m_n, e_n) = math.frexp(k_s), math.frexp(k_d), math.frexp(n)
-    half, odd = divmod(e_s - e_d + e_n, 2)
-    root = math.sqrt(math.ldexp(m_n * m_s / m_d, odd))
+    half, odd = divmod(e_s - e_d + n_power * e_n, 2)
+    root = math.sqrt(math.ldexp(m_n * m_s / m_d if n_power == 1 else m_s / (m_d * m_n), odd))
     # two steps of at most 2**780 each: the first is exact, so only the last can round
     return root * 2.0 ** (half // 2) * 2.0 ** (half - half // 2)
 
@@ -138,7 +139,8 @@ def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
     exact zero of excess demand or when no double lies strictly between
     the ends, at most 64 steps, and returns the end with the smaller
     ``|excess_demand|``. Raises ``BracketingError`` when the clearing
-    price is not a positive double.
+    price is not a positive double, or at the first price where demand
+    and supply both overflow, so that their difference is NaN.
     """
     lo, hi = auto_bracket(market)
     f_lo, f_hi = excess_demand(market, lo), excess_demand(market, hi)
@@ -147,6 +149,8 @@ def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
         if not lo < mid < hi:
             break
         f_mid = excess_demand(market, mid)
+        if math.isnan(f_mid):  # NaN > 0.0 is False, so it would steer the search as a negative value
+            raise BracketingError(f"excess demand at {mid} is NaN: demand and supply both overflow there")
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:

@@ -8,7 +8,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    """Read-only fields; equality, hash, ``repr``, copies and pickles by field, in slot order."""
+    """Read-only fields; equality, hash, ``repr``, ``to_dict``, copies and pickles by field, in slot order."""
 
     __slots__ = ()
 
@@ -30,6 +30,10 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_dict(self) -> dict:
+        """The fields by name, in slot order, for ``json.dumps``."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and pickle rebuild through __init__, since __setattr__ refuses them

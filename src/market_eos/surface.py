@@ -271,15 +271,6 @@ class IsopriceCollapseReport(Record):
         set_field(self, "max_rel_deviation", max_rel_deviation)
         set_field(self, "collapse", collapse)
 
-    def to_dict(self) -> dict:
-        return {
-            "line_slope": self.line_slope,
-            "prices": list(self.prices),
-            "points": [list(p) for p in self.points],
-            "max_rel_deviation": self.max_rel_deviation,
-            "collapse": self.collapse,
-        }
-
 
 def isoprice_collapse_check(market: MarketSpec, prices: list[float]) -> IsopriceCollapseReport:
     """Generate cleared states at each price and test the line degeneracy.
@@ -325,13 +316,6 @@ class CurveCollapseReport(Record):
         set_field(self, "n_curves", n_curves)
         set_field(self, "max_rel_difference", max_rel_difference)
         set_field(self, "collapse", collapse)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_curves": self.n_curves,
-            "max_rel_difference": self.max_rel_difference,
-            "collapse": self.collapse,
-        }
 
 
 def family_collapse(family: IsocurveFamily) -> CurveCollapseReport:

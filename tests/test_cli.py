@@ -150,6 +150,17 @@ def test_solve_far_outside_the_unit_price_decades(tmp_path, capsys):
     assert out.startswith("Pr*=1e+156 ")
 
 
+def test_solve_where_demand_and_supply_both_overflow_exits_3(tmp_path, capsys):
+    # at Pr* = 1000 demand and supply are both inf, so the bisection reads a NaN excess demand
+    path = tmp_path / "flood.json"
+    flood = {"name": "flood", "family": "unitary", "k_s": 1e308, "k_d": 1e308, "households": 1_000_000}
+    path.write_text(json.dumps({"version": "1", "markets": [flood]}), encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--config", str(path), "flood")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: excess demand at ")
+    assert err.endswith(" is NaN: demand and supply both overflow there\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "eos", "zeroth"])
 def test_huge_household_count_exits_3_without_a_traceback(tmp_path, command):
     # Pr* = sqrt(1e308 * 1e300 / 1e-300) = 1e454 is beyond the largest double
@@ -439,25 +450,43 @@ def test_surface_writes_file(config_path, capsys, tmp_path):
     assert out_file.read_text(encoding="utf-8").startswith("x,t,y\n")
 
 
-def test_out_dir_env_var(config_path, capsys, tmp_path, monkeypatch):
-    target = tmp_path / "renders"
-    target.mkdir()
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
-    code, _, _ = run(capsys, "surface", "--config", config_path, "credit", "--out", "s.csv")
+def test_relative_out_resolves_against_the_working_directory(config_path, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "renders").mkdir()
+    code, out, _ = run(capsys, "surface", "--config", config_path, "credit", "--out", "renders/s.csv")
     assert code == 0
-    assert (target / "s.csv").exists()
+    assert out == "wrote renders/s.csv\n"
+    assert (tmp_path / "renders" / "s.csv").read_text(encoding="utf-8").startswith("x,t,y\n")
 
 
-def test_out_dir_flag_beats_env(config_path, capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env_dir_missing"))
-    flag_dir = tmp_path / "flag_dir"
-    flag_dir.mkdir()
-    code, _, _ = run(
-        capsys, "surface", "--config", config_path, "credit",
-        "--out", "s.csv", "--out-dir", str(flag_dir),
-    )
+def test_output_base_directory_settings_are_rejected(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(CONFIG, output_dir=str(tmp_path))), encoding="utf-8")
+    code, out, err = run(capsys, "surface", "--config", str(path), "credit", "--out", "s.csv")
+    assert (code, out) == (2, "")
+    assert err == "error: invalid config at <root>: unknown field 'output_dir'\n"
+    code, out, err = run(capsys, "surface", "--config", str(path), "credit", "--out-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --out-dir" in err
+
+
+# sha256 of each report file on configs/demo.json, recorded before reports were serialized
+# through Record.to_dict
+REPORT_FILES = [
+    (["collapse", "credit", "--prices", "1,2,4,8"], "4dcf722032e7d9d51365736c34cdda36af167d7a8aa12c22292e51c8863371d7"),
+    (["consistency", "staple"], "db5ea217e90b94a2154d72ad30eef0c5af97574062af552c6ed71d09d59a4034"),
+    (["eos", "credit"], "143bf0e22d02e2241006b140710ab47ee6204e6b301eb48d4ed8787f62876dfa"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_FILES, ids=[argv[0] for argv, _ in REPORT_FILES])
+def test_report_files_are_pinned(capsys, tmp_path, argv, digest):
+    out_file = tmp_path / "report.json"
+    demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    code, out, _ = run(capsys, argv[0], "--config", demo, *argv[1:], "--out", str(out_file))
     assert code == 0
-    assert (flag_dir / "s.csv").exists()
+    assert out.startswith(f"wrote {out_file}\n")
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_no_files_written_without_out(config_path, capsys, tmp_path, monkeypatch):

@@ -26,7 +26,6 @@ MINIMAL = {"version": "1"}
 FULL = {
     "version": "1",
     "quantum": 1e-6,
-    "output_dir": "/tmp/out",
     "markets": [
         {"name": "a", "family": "linear", "k_s": -2.0, "q_d0": 10.0, "k_d": 3.0, "goods": "bread"},
         {"name": "b", "family": "unitary", "k_s": 8.0, "k_d": 2.0, "households": 4},
@@ -58,7 +57,6 @@ def test_full_document():
     assert cfg.eos_entities["gas"].R == 8.314
     assert cfg.eos_entities["magnet"].mu0 == 1.0
     assert cfg.grid.nx == 5
-    assert cfg.output_dir == "/tmp/out"
     assert cfg.quantum == 1e-6
 
 
@@ -125,6 +123,19 @@ HUGE = 10**400
     ({"version": "1", "eos": [{"name": "g", "kind": "ideal_gas", "n": HUGE}]}, "eos/0/n"),
 ])
 def test_integers_beyond_the_double_range_from_dicts_rejected(doc, where):
+    with pytest.raises(ConfigError, match=f"^invalid config at {where}: integer is outside the finite double range$"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"version": "1", "markets": [dict(FULL["markets"][1], households=10**5000)]}, "markets/0/households"),
+    ({"version": "1", "markets": [dict(FULL["markets"][1], name=10**5000)]}, "markets/0/name"),
+    ({"version": "1", "markets": [dict(FULL["markets"][1], family=10**5000)]}, "markets/0/family"),
+    ({"version": "1", "markets": [[dict(FULL["markets"][1], households=10**5000)]]}, "markets/0"),
+    (dict(MINIMAL, grid=dict(FULL["grid"], nx=10**5000)), "grid/nx"),
+    (dict(MINIMAL, grid=dict(FULL["grid"], nt=10**5000)), "grid/nt"),
+])
+def test_integers_too_long_to_quote_rejected_in_integer_and_string_fields(doc, where):
     with pytest.raises(ConfigError, match=f"^invalid config at {where}: integer is outside the finite double range$"):
         parse_config(doc)
 
@@ -258,33 +269,48 @@ def test_packaged_schemas_load():
 # limit and integers whose float() overflows.
 CONFIG_VALIDATOR = Draft202012Validator(load_schema("config"))
 # every field the schema knows, plus one it does not
-FIELD_NAMES = ["version", "quantum", "output_dir", "markets", "eos", "grid", "name", "family", "k_s", "q_d0",
-               "k_d", "households", "interpretation", "goods", "kind", "n", "R", "D", "mu0", "x_min", "x_max",
-               "nx", "t_min", "t_max", "nt", "extra"]
+FIELD_NAMES = ["version", "quantum", "markets", "eos", "grid", "name", "family", "k_s", "q_d0", "k_d",
+               "households", "interpretation", "goods", "kind", "n", "R", "D", "mu0", "x_min", "x_max", "nx",
+               "t_min", "t_max", "nt", "extra"]
+# the least integer past the double range, one the length of a grid count's, and one too long for repr
+HUGE_INTS = [2**1024 - 2**970, -HUGE, 10**5000]
 VALUES = st.one_of(
     st.sampled_from(
         [True, False, None, "", "x", "a", "gas", "1", "linear", "unitary", "ideal_gas", "paramagnet",
-         "cubic", "per-household", "aggregate", [], {}, [1], {"k": 1}, 0, 1, 2, -1, 0.0, -0.0, 2.0, 3.0, -2.5]
+         "cubic", "per-household", "aggregate", [], {}, [1], {"k": 1}, 0, 1, 2, -1, 0.0, -0.0, 2.0, 3.0, -2.5,
+         *HUGE_INTS]
     ),
     st.integers(min_value=-5, max_value=5),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
+def is_huge(value) -> bool:
+    return type(value) is int and abs(value) >= 2**1024 - 2**970
+
+
+def holds_huge(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return any(map(holds_huge, value)) if isinstance(value, list) else is_huge(value)
+
+
 def oracle_rejects(doc) -> bool:
+    # an integer no double holds is rejected wherever it is, integer fields too; checked first,
+    # since the validator's messages cannot quote one of more than 4300 digits
+    if holds_huge(doc):
+        return True
     if next(CONFIG_VALIDATOR.iter_errors(doc), None) is not None:
         return True
     names = [block["name"] for block in doc.get("markets", []) + doc.get("eos", [])]
     grid = doc.get("grid")
     disordered = grid is not None and not (grid["x_min"] < grid["x_max"] and grid["t_min"] < grid["t_max"])
     oversized = grid is not None and grid["nx"] * grid["nt"] > MAX_GRID_POINTS
-    blocks = [doc, grid or {}] + doc.get("markets", []) + doc.get("eos", [])
-    huge = any(type(value) is int and abs(value) >= 2**1024 - 2**970 for block in blocks for value in block.values())
-    return len(set(names)) < len(names) or disordered or oversized or huge
+    return len(set(names)) < len(names) or disordered or oversized
 
 
 BLOCK_PATHS = [(), ("markets", 0), ("markets", 1), ("eos", 0), ("eos", 1), ("grid",)]
-MUTATIONS = ["drop", "add", "retype", "bool", "integral", "half", "sign", "empty-name", "rename", "kind",
+MUTATIONS = ["drop", "add", "retype", "bool", "integral", "half", "sign", "huge", "empty-name", "rename", "kind",
              "non-object"]
 
 
@@ -306,7 +332,7 @@ def mutate(doc, data):
         return doc
     if not isinstance(block, dict):
         return doc
-    numbers = sorted(key for key, value in block.items() if type(value) in (int, float))
+    numbers = sorted(key for key, value in block.items() if type(value) in (int, float) and not is_huge(value))
     fields = sorted(block) if op in ("drop", "retype") else numbers
     field = data.draw(st.sampled_from(fields)) if fields else None
     if op == "add":
@@ -334,6 +360,8 @@ def mutate(doc, data):
         block[field] += 0.5
     elif op == "sign":
         block[field] = -block[field]
+    elif op == "huge":
+        block[field] = data.draw(st.sampled_from(HUGE_INTS))
     return doc
 
 

@@ -223,7 +223,14 @@ def test_linear_verdict_over_all_finite_doubles(k_s, k_d):
 @example(k_s=1e-308, k_d=1e308, n=1)  # k_s/k_d underflows to 0, K = 1e-308 is subnormal
 @example(k_s=4.9e-320, k_d=2.76e306, n=3)  # K = 7.7e-314 is subnormal
 @example(k_s=1.0, k_d=1e-310, n=7)  # k_d*N is subnormal, K = 3.8e154
-@given(k_s=magnitude, k_d=magnitude, n=st.integers(min_value=1, max_value=10**6))
+# N > 2**1022, so 1/N would be subnormal; K was 2.38 ULP off when the rescale formed it
+@example(k_s=3.8730309140106764e-29, k_d=8.0356469715403165e+267, n=int(1.6125172304599684e+308))
+@given(
+    k_s=magnitude,
+    k_d=magnitude,
+    n=st.one_of(st.integers(min_value=1, max_value=10**6),
+                st.floats(min_value=1.0, max_value=sys.float_info.max).map(int)),
+)
 def test_surface_constant_over_all_finite_doubles(k_s, k_d, n):
     with localcontext() as ctx:
         ctx.prec = 60

@@ -79,6 +79,14 @@ def test_bad_bracket_raises():
         clearing_price_numeric(MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e-310)))
 
 
+def test_bisection_raises_where_demand_and_supply_both_overflow():
+    # Pr* = 1000, where demand N*k_s/Pr and supply k_d*Pr are both inf and excess demand is NaN;
+    # NaN > 0.0 is False, so a NaN read as a sign would steer the search to 1.797...
+    market = MarketSpec(demand=UnitaryDemand(k_s=1e308), supply=LinearSupply(k_d=1e308), households=1_000_000)
+    with pytest.raises(BracketingError, match="is NaN: demand and supply both overflow there"):
+        clearing_price_numeric(market)
+
+
 @pytest.mark.parametrize(
     "market",
     [
