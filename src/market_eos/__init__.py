@@ -14,7 +14,6 @@ from .eos import (
     amplification_factor,
     check_linear_consistency,
     derive_unitary_eos,
-    linear_consistency_from_coefficients,
 )
 from .equilibrium import (
     EquilibriumPoint,
@@ -91,7 +90,6 @@ __all__ = [
     "family_collapse",
     "isocurves",
     "isoprice_collapse_check",
-    "linear_consistency_from_coefficients",
     "load_config",
     "parse_config",
     "point_elasticity",

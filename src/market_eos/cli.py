@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InvariantError, BracketingError, TypeError) as exc:
+    except (DomainError, InvariantError, BracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -11,9 +11,7 @@ reference the parser is tested against.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
-from typing import NoReturn
 
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
@@ -42,7 +40,7 @@ _SHAPES: dict[str, tuple[dict[str, type], tuple[str, ...]]] = {
 # In the ``markets`` and ``eos`` lists, the field that names a block's kind, and its values.
 _KINDS = {"markets": ("family", ("linear", "unitary")), "eos": ("kind", ("ideal_gas", "paramagnet"))}
 _TYPE_NAMES = {float: "number", int: "integer", str: "string", list: "array", dict: "object"}
-# The least integer whose float() overflows, as a JSON literal of it does in load_config.
+# The least integer whose float() overflows.
 _INT_LIMIT = 2**1024 - 2**970
 
 
@@ -80,12 +78,14 @@ def _has_type(value: object, expected: type) -> bool:
 
 
 def _check_range(value: object, where: str) -> None:
-    """Reject an integer no double holds, also inside an array or object, before a message quotes it.
+    """Reject an integer no double holds, also in a list, tuple or dict key or value, before a message quotes it.
 
     ``repr`` raises ``ValueError`` on an integer of more than 4300 digits.
     """
-    if isinstance(value, (list, dict)):
-        for item in value.values() if isinstance(value, dict) else value:
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, (list, tuple)):
+        for item in value:
             _check_range(item, where)
     elif isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
         raise _invalid(where, "integer is outside the finite double range")
@@ -113,6 +113,7 @@ def _checked(block: object, kind: str, where: str) -> dict:
         if type(value) is expected and (expected is not int or -_INT_LIMIT < value < _INT_LIMIT):
             continue
         if expected is None:
+            _check_range(key, where)
             raise _invalid(where, f"unknown field {key!r}")
         _check_range(value, f"{where}/{key}")
         if not _has_type(value, expected):
@@ -191,37 +192,15 @@ def parse_config(document: dict) -> ConfigDocument:
     )
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} is outside the finite double range")
-    return value
-
-
-def _finite_int(text: str) -> int:
-    _finite_float(text)
-    return int(text)
-
-
-def _reject_constant(name: str) -> NoReturn:
-    raise ValueError(f"non-finite number {name} is not allowed")
-
-
 def load_config(path: str | Path) -> ConfigDocument:
-    """Read, validate and build a config file.
-
-    Numbers must be finite doubles: ``Infinity``, ``-Infinity``, ``NaN``
-    and literals that overflow a double are rejected as invalid JSON.
-    """
+    """Read a config file, parse it as JSON and check and build it as ``parse_config`` does a dict."""
     path = Path(path)
     try:
         text = path.read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        document = json.loads(
-            text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_reject_constant
-        )
+        document = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(document)

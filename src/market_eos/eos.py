@@ -34,9 +34,6 @@ from .reference_eos import Row, _hoisted
 # rounding when checking it at construction.
 EOS_SELF_CHECK_REL = 1e-12
 
-REAL = "real"
-IMAGINARY = "imaginary"
-
 
 class UnitaryEoS(Record):
     """Constraint surface q^d = K * Q^s / Pr for one unitary market.
@@ -114,67 +111,44 @@ class ConsistencyReport(Record):
         set_field(self, "reason", reason)
 
 
-def linear_consistency_from_coefficients(
-    k_s: float, k_d: float, k_pr: float = 1.0
-) -> ConsistencyReport:
-    """Consistency verdict from raw coefficients, invariants unchecked.
-
-    eps_d_squared = k_d * k_s * k_pr and eps_s_squared = k_d * k_s / k_pr,
-    where k_pr is the demand-to-supply quantity ratio. Both squares have
-    the sign of the exact product, read from the float result's sign
-    bit, which stays right when the value underflows to -0.0; a square
-    that is not finite raises ``DomainError``. Exposed so control cases
-    (e.g. a positive demand slope) can be probed without constructing a
-    curve that would reject them.
-    """
-    if k_pr == 0:
-        raise DomainError("k_pr must be nonzero")
-    eps_d_squared = k_d * k_s * k_pr
-    eps_s_squared = k_d * k_s / k_pr
-    if not (math.isfinite(eps_d_squared) and math.isfinite(eps_s_squared)):
-        raise DomainError(
-            f"eps_d_squared = {eps_d_squared} and eps_s_squared = {eps_s_squared} "
-            f"are not both finite for k_s={k_s}, k_d={k_d}, k_pr={k_pr}"
-        )
-    negative = k_s != 0 and k_d != 0 and math.copysign(1.0, eps_d_squared) < 0
-    classification = IMAGINARY if negative else REAL
-    consistent = not negative
-    if consistent:
-        reason = (
-            f"both determinations of eps_d are real: eps_d_squared = {eps_d_squared} >= 0 "
-            f"and the direct demand slope is {k_s}"
-        )
-    else:
-        reason = (
-            f"eps_d_squared = k_d*k_s*k_pr = {eps_d_squared} < 0 makes eps_d imaginary, "
-            f"while the slope read directly off the demand curve is real ({k_s}); "
-            f"market clearing forces k_pr = {k_pr}, so the two determinations contradict"
-        )
-    return ConsistencyReport(
-        eps_d_squared=eps_d_squared,
-        eps_s_squared=eps_s_squared,
-        eps_d_direct=k_s,
-        classification_d=classification,
-        classification_s=classification,
-        consistent=consistent,
-        reason=reason,
-    )
-
-
 def check_linear_consistency(market: MarketSpec) -> ConsistencyReport:
     """Two-way elasticity determination for a linear-demand market.
 
-    Market clearing equates demand and supply quantities, fixing the
-    quantity ratio k_pr at 1; with a negative demand slope the squared
-    coefficients come out negative, so the verdict is always
-    inconsistent for a curve that satisfies its own invariants.
+    Market clearing equates demand and supply quantities, fixing their
+    ratio k_pr at 1, so eps_d_squared = eps_s_squared = k_d * k_s. With
+    the negative demand slope a ``LinearDemand`` must have, that square
+    is negative, so the verdict is always inconsistent. The sign is read
+    from the float product's sign bit, which stays right when it
+    underflows to -0.0. Raises ``DomainError`` for a market without
+    linear demand or a square that is not finite.
     """
     if not isinstance(market.demand, LinearDemand):
-        raise TypeError(
+        raise DomainError(
             "check_linear_consistency requires a linear demand market; "
             "use derive_unitary_eos for unitary demand"
         )
-    return linear_consistency_from_coefficients(market.demand.k_s, market.supply.k_d, k_pr=1.0)
+    k_s, k_d = market.demand.k_s, market.supply.k_d
+    square = k_d * k_s
+    if not math.isfinite(square):
+        raise DomainError(
+            f"eps_d_squared = {square} and eps_s_squared = {square} "
+            f"are not both finite for k_s={k_s}, k_d={k_d}, k_pr=1.0"
+        )
+    if math.copysign(1.0, square) > 0:
+        raise InvariantError(f"eps_d_squared = k_d*k_s = {square} is not negative for k_s={k_s}, k_d={k_d}")
+    return ConsistencyReport(
+        eps_d_squared=square,
+        eps_s_squared=square,
+        eps_d_direct=k_s,
+        classification_d="imaginary",
+        classification_s="imaginary",
+        consistent=False,
+        reason=(
+            f"eps_d_squared = k_d*k_s*k_pr = {square} < 0 makes eps_d imaginary, "
+            f"while the slope read directly off the demand curve is real ({k_s}); "
+            "market clearing forces k_pr = 1.0, so the two determinations contradict"
+        ),
+    )
 
 
 def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
@@ -183,10 +157,11 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     K = sqrt(k_s / (k_d * N)), rescaled as the clearing price is where
     the quotient or ``k_d * N`` is not a normal double. A subnormal K
     raises ``DomainError``. Construction self-checks the derived
-    identity K == clearing price / N before returning.
+    identity K == clearing price / N before returning. A market without
+    unitary demand, or read in aggregate, raises ``DomainError``.
     """
     if not isinstance(market.demand, UnitaryDemand):
-        raise TypeError(
+        raise DomainError(
             "derive_unitary_eos requires a unitary demand market; "
             "use check_linear_consistency for linear demand"
         )

@@ -115,12 +115,13 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
     return EquilibriumPoint(pr_star, q_star, residual=abs(excess_demand(market, pr_star)))
 
 
-def auto_bracket(market: MarketSpec) -> tuple[float, float]:
-    """Every positive double, ``(5e-324, DBL_MAX)``, as the price bracket.
+def auto_bracket(market: MarketSpec) -> tuple[float, float, float, float]:
+    """Every positive double, ``5e-324`` to ``DBL_MAX``, as the price bracket ``(lo, f_lo, hi, f_hi)``.
 
-    Raises ``BracketingError`` unless excess demand changes sign, or is
-    zero, at one of the two ends, which holds for every market whose
-    clearing price is a positive double.
+    ``f_lo`` and ``f_hi`` are the excess demands at the two ends. Raises
+    ``BracketingError`` unless excess demand changes sign, or is zero,
+    at one of them, which holds for every market whose clearing price
+    is a positive double.
     """
     f_lo, f_hi = excess_demand(market, _DBL_TRUE_MIN), excess_demand(market, _DBL_MAX)
     if f_lo != 0.0 and f_hi != 0.0 and (f_lo > 0.0) == (f_hi > 0.0):
@@ -128,7 +129,7 @@ def auto_bracket(market: MarketSpec) -> tuple[float, float]:
             f"no sign change in excess demand over the positive doubles: "
             f"excess_demand({_DBL_TRUE_MIN}) = {f_lo}, excess_demand({_DBL_MAX}) = {f_hi}"
         )
-    return _DBL_TRUE_MIN, _DBL_MAX
+    return _DBL_TRUE_MIN, f_lo, _DBL_MAX, f_hi
 
 
 def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
@@ -137,13 +138,13 @@ def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
     The midpoint is geometric while ``hi > 2*lo``, so the exponent range
     halves each step, and arithmetic after that. The search stops at an
     exact zero of excess demand or when no double lies strictly between
-    the ends, at most 64 steps, and returns the end with the smaller
+    the ends, at most 64 steps after the two ends, so at most 66 reads
+    of excess demand, and returns the end with the smaller
     ``|excess_demand|``. Raises ``BracketingError`` when the clearing
     price is not a positive double, or at the first price where demand
     and supply both overflow, so that their difference is NaN.
     """
-    lo, hi = auto_bracket(market)
-    f_lo, f_hi = excess_demand(market, lo), excess_demand(market, hi)
+    lo, f_lo, hi, f_hi = auto_bracket(market)
     while f_lo != 0.0 and f_hi != 0.0:
         mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + 0.5 * (hi - lo)
         if not lo < mid < hi:

@@ -280,7 +280,7 @@ def isoprice_collapse_check(market: MarketSpec, prices: list[float]) -> Isoprice
     one line of slope 1/N, not a family of curves.
     """
     if not isinstance(market.demand, UnitaryDemand):
-        raise TypeError("isoprice collapse is defined for unitary demand markets")
+        raise DomainError("isoprice collapse is defined for unitary demand markets")
     if market.interpretation != PER_HOUSEHOLD:
         raise DomainError("isoprice collapse needs the per-household demand reading")
     if not prices:

@@ -19,6 +19,7 @@ from market_eos import (
     MarketRegistry,
     MarketSpec,
     UnitaryDemand,
+    check_linear_consistency,
     cli,
     clearing_price_analytic,
     clearing_price_numeric,
@@ -26,7 +27,6 @@ from market_eos import (
     family_collapse,
     isocurves,
     isoprice_collapse_check,
-    linear_consistency_from_coefficients,
     point_elasticity,
     rank_markets,
     verify_equivalence_laws,
@@ -65,7 +65,8 @@ def test_c2_linear_market_inconsistency():
     for _ in range(1000):
         k_s = -rng.uniform(0.01, 100.0)
         k_d = rng.uniform(0.01, 100.0)
-        rep = linear_consistency_from_coefficients(k_s, k_d, k_pr=1.0)
+        market = MarketSpec(demand=LinearDemand(k_s=k_s, q_d0=1.0), supply=LinearSupply(k_d=k_d))
+        rep = check_linear_consistency(market)
         if rep.consistent or rep.eps_d_squared >= 0 or rep.eps_d_direct != k_s:
             ok = False
             break

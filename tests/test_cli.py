@@ -115,9 +115,14 @@ def test_consistency_underflowing_square_stays_inconsistent(tmp_path, capsys):
     assert doc["classification_d"] == doc["classification_s"] == "imaginary"
 
 
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_consistency_rejects_unitary(config_path, capsys):
-    code, _, err = run(capsys, "consistency", "--config", config_path, "grain")
-    assert code == 3
+    code, out, err = run(capsys, "consistency", "--config", config_path, "grain")
+    assert (code, out) == (3, "")
+    assert one_error_line(err)
     assert "derive_unitary_eos" in err
 
 
@@ -210,8 +215,9 @@ def test_eos_with_an_overflowing_surface_constant_quotient(tmp_path, capsys):
 
 
 def test_eos_rejects_linear(config_path, capsys):
-    code, _, err = run(capsys, "eos", "--config", config_path, "staple")
-    assert code == 3
+    code, out, err = run(capsys, "eos", "--config", config_path, "staple")
+    assert (code, out) == (3, "")
+    assert one_error_line(err)
     assert "check_linear_consistency" in err
 
 
@@ -273,8 +279,10 @@ def test_surface_unknown_name_exits_2(config_path, capsys):
 
 
 def test_surface_linear_market_exits_3(config_path, capsys):
-    code, _, _ = run(capsys, "surface", "--config", config_path, "staple")
-    assert code == 3
+    code, out, err = run(capsys, "surface", "--config", config_path, "staple")
+    assert (code, out) == (3, "")
+    assert one_error_line(err)
+    assert "requires a unitary demand market" in err
 
 
 def test_surface_missing_out_dir_exits_4(config_path, capsys, tmp_path):
@@ -569,8 +577,20 @@ def test_collapse_overflowing_price_exits_3_and_writes_nothing(config_path, caps
 
 
 def test_collapse_rejects_linear_market(config_path, capsys):
-    code, _, _ = run(capsys, "collapse", "--config", config_path, "staple", "--prices", "1,2")
-    assert code == 3
+    code, out, err = run(capsys, "collapse", "--config", config_path, "staple", "--prices", "1,2")
+    assert (code, out) == (3, "")
+    assert one_error_line(err)
+    assert "defined for unitary demand markets" in err
+
+
+def test_a_type_error_inside_a_command_propagates(config_path, monkeypatch):
+    # no input reaches a TypeError, so one is a bug, not an exit code
+    def broken(args, cfg):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_zeroth", broken)
+    with pytest.raises(TypeError, match="^a bug$"):
+        cli.main(["zeroth", "--config", config_path])
 
 
 def test_zeroth_report(config_path, capsys):
@@ -622,7 +642,18 @@ def test_zeroth_infinite_quantum_exits_2(tmp_path, capsys):
     code, out, err = zeroth_on(tmp_path, capsys, quantum=float("inf"))
     assert code == 2
     assert out == ""
-    assert "Infinity" in err
+    assert err == "error: quantum: quantum must be positive and finite, got inf\n"
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1" + "0" * 400,
+                                     "-1" + "0" * 400])
+def test_zeroth_non_finite_literal_in_a_market_exits_2(tmp_path, capsys, literal):
+    path = tmp_path / "zeroth.json"
+    path.write_text(json.dumps(CONFIG).replace('"k_d": 3.0', f'"k_d": {literal}'), encoding="utf-8")
+    code, out, err = run(capsys, "zeroth", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert one_error_line(err)
+    assert "k_d" in err
 
 
 def registry_300() -> dict:

@@ -134,6 +134,9 @@ def test_integers_beyond_the_double_range_from_dicts_rejected(doc, where):
     ({"version": "1", "markets": [[dict(FULL["markets"][1], households=10**5000)]]}, "markets/0"),
     (dict(MINIMAL, grid=dict(FULL["grid"], nx=10**5000)), "grid/nx"),
     (dict(MINIMAL, grid=dict(FULL["grid"], nt=10**5000)), "grid/nt"),
+    # neither can come from JSON: an unknown field's key, which its message quotes, and a tuple
+    ({"version": "1", 10**5000: 1}, "<root>"),
+    ({"version": "1", "markets": [dict(FULL["markets"][1], goods=(10**5000,))]}, "markets/0/goods"),
 ])
 def test_integers_too_long_to_quote_rejected_in_integer_and_string_fields(doc, where):
     with pytest.raises(ConfigError, match=f"^invalid config at {where}: integer is outside the finite double range$"):
@@ -253,7 +256,64 @@ def test_load_config_rejects_non_finite_numbers(tmp_path, number):
     path = tmp_path / "cfg.json"
     text = json.dumps(FULL).replace('"k_d": 3.0', f'"k_d": {number}')
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError, match="not valid JSON"):
+    # the decoder reads 1e400 as inf; an integer literal stays an int
+    error = (r"^market 'a': supply slope k_d must be positive and finite, got -?(inf|nan)$"
+             r"|^invalid config at markets/0/k_d: integer is outside the finite double range$")
+    with pytest.raises(ConfigError, match=error):
+        load_config(path)
+
+
+# Every block kind with every field set.
+EVERY_FIELD = {
+    "version": "1",
+    "quantum": 1e-6,
+    "markets": [
+        {"name": "a", "family": "linear", "k_s": -2.0, "q_d0": 10.0, "k_d": 3.0, "households": 2,
+         "interpretation": "per-household", "goods": "bread"},
+        {"name": "b", "family": "unitary", "k_s": 8.0, "k_d": 2.0, "households": 4, "interpretation": "aggregate",
+         "goods": "grain"},
+    ],
+    "eos": [
+        {"name": "gas", "kind": "ideal_gas", "n": 1.0, "R": 8.314},
+        {"name": "magnet", "kind": "paramagnet", "D": 2.0, "mu0": 1.0},
+    ],
+    "grid": FULL["grid"],
+}
+NON_FINITE_LITERALS = {"Infinity": "Infinity", "-Infinity": "-Infinity", "NaN": "NaN", "1e400": "1e400",
+                       "-1e400": "-1e400", "10**400": "1" + "0" * 400, "-10**400": "-1" + "0" * 400}
+
+
+def literal_positions() -> list[tuple]:
+    """Every field of every block kind, an unknown field in each block and an added item in each array of blocks."""
+    positions = []
+    for path in [(), ("markets", 0), ("markets", 1), ("eos", 0), ("eos", 1), ("grid",)]:
+        block = EVERY_FIELD
+        for key in path:
+            block = block[key]
+        positions += [(*path, key) for key in [*block, "extra"]]
+    return positions + [("markets", 2), ("eos", 2)]
+
+
+def test_every_field_document_is_valid():
+    cfg = parse_config(EVERY_FIELD)
+    assert len(cfg.markets) == len(cfg.eos_entities) == 2
+
+
+@pytest.mark.parametrize("literal", NON_FINITE_LITERALS.values(), ids=NON_FINITE_LITERALS)
+@pytest.mark.parametrize("position", literal_positions(), ids=lambda position: "/".join(map(str, position)))
+def test_load_config_rejects_non_finite_literals_at_every_position(tmp_path, position, literal):
+    # a file goes through the checks a dict goes through: no JSON number hook rejects these first
+    doc = copy.deepcopy(EVERY_FIELD)
+    parent = doc
+    for key in position[:-1]:
+        parent = parent[key]
+    if isinstance(parent, list):
+        parent.append("@")
+    else:
+        parent[position[-1]] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    with pytest.raises(ConfigError):
         load_config(path)
 
 

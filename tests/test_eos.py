@@ -22,8 +22,8 @@ from market_eos import (
     check_linear_consistency,
     clearing_price_analytic,
     derive_unitary_eos,
-    linear_consistency_from_coefficients,
 )
+from market_eos.record import set_field
 
 
 def unitary_market(k_s=8.0, k_d=2.0, n=4):
@@ -37,28 +37,9 @@ def linear_market(k_s=-2.0, q_d0=10.0, k_d=3.0, n=1):
 
 
 def test_linear_relations_hand_values():
-    rel = linear_consistency_from_coefficients(k_s=-2.0, k_d=3.0, k_pr=1.0)
+    rel = check_linear_consistency(linear_market(k_s=-2.0, k_d=3.0))
     assert rel.eps_d_squared == -6.0
     assert rel.eps_s_squared == -6.0
-    rel = linear_consistency_from_coefficients(k_s=-2.0, k_d=3.0, k_pr=4.0)
-    assert rel.eps_d_squared == -24.0
-    assert rel.eps_s_squared == -1.5
-
-
-def test_linear_relations_sign_controls():
-    for k_s, k_pr in ((2.0, 1.0), (-2.0, -1.0)):
-        rel = linear_consistency_from_coefficients(k_s, 3.0, k_pr)
-        assert rel.eps_d_squared == 6.0
-        assert rel.eps_s_squared == 6.0
-        assert rel.classification_d == rel.classification_s == "real"
-        assert rel.consistent is True
-    # a zero slope makes a zero square, real whatever the sign bit of -0.0
-    assert linear_consistency_from_coefficients(0.0, 3.0, -1.0).consistent is True
-
-
-def test_linear_relations_zero_kpr_rejected():
-    with pytest.raises(DomainError):
-        linear_consistency_from_coefficients(-2.0, 3.0, 0.0)
 
 
 def test_consistency_report_canonical_market():
@@ -77,15 +58,16 @@ def test_consistency_independent_of_households():
 
 
 def test_consistency_control_case_real_slope():
-    # invariants forbid a positive linear demand slope, so the raw
-    # coefficient path is the only way to exercise the consistent branch
-    report = linear_consistency_from_coefficients(k_s=2.0, k_d=3.0)
-    assert report.consistent is True
-    assert report.classification_d == "real"
+    # invariants forbid a positive linear demand slope; a curve forged past them is not reported consistent
+    forged = object.__new__(LinearDemand)
+    set_field(forged, "k_s", 2.0)
+    set_field(forged, "q_d0", 10.0)
+    with pytest.raises(InvariantError, match="is not negative"):
+        check_linear_consistency(MarketSpec(demand=forged, supply=LinearSupply(k_d=3.0)))
 
 
 def test_consistency_rejects_unitary_market():
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="requires a linear demand market"):
         check_linear_consistency(unitary_market())
 
 
@@ -116,7 +98,7 @@ def test_surface_constant_identity_with_clearing_price():
 
 
 def test_derive_rejects_linear_market():
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="requires a unitary demand market"):
         derive_unitary_eos(linear_market())
 
 
@@ -192,7 +174,7 @@ def test_amplification_reciprocity(k_s, k_d, n):
     k_d=st.floats(min_value=0.01, max_value=100.0),
 )
 def test_inconsistency_theorem(k_s, k_d):
-    report = linear_consistency_from_coefficients(k_s, k_d, k_pr=1.0)
+    report = check_linear_consistency(linear_market(k_s=k_s, k_d=k_d))
     assert report.eps_d_squared < 0
     assert report.eps_d_direct == k_s
     assert report.consistent is False

@@ -112,16 +112,19 @@ def test_bisection_reads_excess_demand_at_most_70_times(market, monkeypatch):
 
 
 def test_auto_bracket_contains_root():
-    lo, hi = auto_bracket(LINEAR)
+    lo, f_lo, hi, f_hi = auto_bracket(LINEAR)
     assert lo <= 2.0 <= hi
-    lo, hi = auto_bracket(UNITARY4)
+    assert (f_lo, f_hi) == (excess_demand(LINEAR, lo), excess_demand(LINEAR, hi))
+    lo, f_lo, hi, f_hi = auto_bracket(UNITARY4)
     assert lo <= 4.0 <= hi
+    assert (f_lo, f_hi) == (excess_demand(UNITARY4, lo), excess_demand(UNITARY4, hi))
 
 
 def test_auto_bracket_degenerate_intercept():
     # Pr* = q_d0/(k_d - k_s) pushed toward zero still brackets
     tiny = MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=1e-12), supply=LinearSupply(k_d=3.0))
-    lo, hi = auto_bracket(tiny)
+    lo, f_lo, hi, f_hi = auto_bracket(tiny)
+    assert f_lo > 0 > f_hi
     pr_star = clearing_price_analytic(tiny).clearing_price
     assert lo <= pr_star <= hi
     eq = clearing_price_numeric(tiny)
@@ -190,6 +193,32 @@ def test_analytic_unitary_price_is_the_direct_formula_wherever_its_quotient_is_n
     else:
         # scaled by powers of two, the rounding is that of the direct formula with no exponent limit
         assert abs(Decimal(price) - exact) <= 2 * Decimal(math.ulp(float(exact)))
+
+
+@given(k_s=positive_doubles, q_d0=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=10**9),
+       linear=st.booleans(), agg=st.booleans())
+def test_bisection_reads_excess_demand_at_most_66_times_over_all_positive_doubles(k_s, q_d0, k_d, n, linear, agg):
+    market = MarketSpec(
+        demand=LinearDemand(k_s=-k_s, q_d0=q_d0) if linear else UnitaryDemand(k_s=k_s),
+        supply=LinearSupply(k_d=k_d),
+        households=n,
+        interpretation="aggregate" if agg else "per-household",
+    )
+    calls = []
+
+    def counted(spec, pr):
+        calls.append(pr)
+        return excess_demand(spec, pr)
+
+    # the two ends auto_bracket reads are not read again, so at most 64 midpoints follow them
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium_module, "excess_demand", counted)
+        try:
+            clearing_price_numeric(market)
+        except BracketingError:
+            pass
+    assert 2 <= len(calls) <= 66
+    assert len(set(calls)) == len(calls)
 
 
 def test_market_spec_invariants():

@@ -139,7 +139,7 @@ def test_gas_isotherms_do_not_collapse():
 def test_isoprice_check_rejects_linear_and_empty():
     from market_eos import LinearDemand
 
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="unitary demand markets"):
         isoprice_collapse_check(
             MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=10.0), supply=LinearSupply(k_d=3.0)),
             [1.0],
