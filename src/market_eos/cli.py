@@ -15,7 +15,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -28,8 +29,8 @@ from .surface import (
     family_collapse,
     isocurves,
     isoprice_collapse_check,
-    render_chunks,
     sample_surface,
+    write_export,
 )
 # render_csv and render_json are not called here; perfbench's tracer wraps them as cli.render_*
 from .surface import render_csv, render_json  # noqa: F401
@@ -55,15 +56,19 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write ``chunks`` one at a time to stdout, or to the file ``out`` and then name it."""
+def _emit(write: Callable, out: str | None) -> None:
+    """Call ``write(file)`` with stdout, or with the file ``out`` opened for writing and then name it."""
     if out is None:
-        sys.stdout.writelines(chunks)
+        write(sys.stdout)
     else:
         out_path = Path(out)  # a relative path names a file in the working directory
         with open(out_path, "w", encoding="utf-8") as file:
-            file.writelines(chunks)
+            write(file)
         print(f"wrote {out_path}")
+
+
+def _write_json(doc: dict, file) -> None:
+    file.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _resolve_surface_eos(cfg: ConfigDocument, name: str):
@@ -122,13 +127,13 @@ def cmd_solve(args, cfg: ConfigDocument) -> int:
 
 def cmd_consistency(args, cfg: ConfigDocument) -> int:
     report = check_linear_consistency(cfg.market(args.market))
-    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
+    _emit(partial(_write_json, report.to_dict()), args.out)
     return 0
 
 
 def cmd_eos(args, cfg: ConfigDocument) -> int:
     eos = derive_unitary_eos(cfg.market(args.market))
-    _emit([json.dumps(eos.to_dict(), indent=2) + "\n"], args.out)
+    _emit(partial(_write_json, eos.to_dict()), args.out)
     print(f"K={_fmt(eos.K)} amplification={_fmt(amplification_factor(eos))} (D/mu0 analogue)")
     return 0
 
@@ -137,7 +142,7 @@ def cmd_surface(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     grid = _resolve_grid(args, cfg)
     sampled = sample_surface(eos, grid)
-    _emit(render_chunks(sampled, args.format), args.out)
+    _emit(partial(write_export, sampled, args.format), args.out)
     return 0
 
 
@@ -150,7 +155,7 @@ def cmd_isocurves(args, cfg: ConfigDocument) -> int:
     if x_lo is None or x_hi is None or n_points is None:
         raise ConfigError("x range is set neither in the config grid nor on the command line")
     family = isocurves(eos, t_values, (x_lo, x_hi), n_points)
-    _emit(render_chunks(family, args.format), args.out)
+    _emit(partial(write_export, family, args.format), args.out)
     verdict = family_collapse(family)
     print(f"curves={verdict.n_curves} collapse={str(verdict.collapse).lower()}")
     return 0
@@ -161,7 +166,7 @@ def cmd_collapse(args, cfg: ConfigDocument) -> int:
     prices = _parse_float_list(args.prices, "prices")
     report = isoprice_collapse_check(market, prices)
     if args.out is not None:
-        _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
+        _emit(partial(_write_json, report.to_dict()), args.out)
     print(
         f"collapse={str(report.collapse).lower()} slope=1/{market.households} "
         f"max_rel_deviation={_fmt(report.max_rel_deviation)}"

@@ -28,21 +28,23 @@ first failing point in (t, x) order.
 
 Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
-CSV or JSON, byte-deterministic for a given grid. ``render_chunks``
-yields the text one t row at a time (each axis value is formatted
-once), and the CLI writes each row as it comes, so only the sampled
-grid and one rendered row are held: a 2000 x 2000 gas export peaks near
-170 MB as CSV and as JSON, where holding the whole text took 602 MB and
-846 MB (peak RSS, 2-vCPU VM, Python 3.11).
+CSV or JSON, byte-deterministic for a given grid, and built one t row
+at a time from one layout per format: ``render_chunks`` yields the rows
+and ``write_export`` writes them as they come, the second half of a
+large export's rows rendered by a forked child. Only the sampled grid
+and a row are held: a 2000 x 2000 gas export peaks near 170 MB (peak
+RSS, 2-vCPU VM, Python 3.11), where the whole text took 602-846 MB.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from itertools import chain, repeat
+from typing import TextIO
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
@@ -62,6 +64,10 @@ _DBL_MIN = sys.float_info.min
 # of memory as CSV and as JSON, most of it the sampled grid (1000 x 1000:
 # 54 MB). Checked before any axis is built.
 MAX_GRID_POINTS = 4_000_000
+
+# Smallest export, in points, that ``write_export`` splits. The fork and the temporary
+# file cost 2-3 ms, which a split wins back at 2**12 to 2**14 points (CSV, 2-vCPU VM).
+SPLIT_POINTS = 2**16
 
 # Pointwise relative tolerance for declaring curves (or points on a
 # line) degenerate.
@@ -337,58 +343,46 @@ def _fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _rows_text(pattern: str, t_cell, obj: SurfaceGrid | IsocurveFamily, sep: str = "") -> Iterator[str]:
-    """Per row, ``pattern`` with ``{t}`` set to ``t_cell(t)`` and its ``%`` slots to the y row.
+def _layout(obj: SurfaceGrid | IsocurveFamily, format: str) -> tuple:
+    """``(head, row pattern, t formatter, separator before each later row, tail)`` of an export.
 
-    A pattern without ``{t}`` leaves t out. Every row after the first
-    starts with ``sep``. Each row is built when it is read.
+    A row is the pattern with ``{t}`` set to the formatted t and its
+    ``%`` slots to the y row; a pattern without ``{t}`` leaves t out.
+    CSV values are ``%.17g`` (the bytes of ``format(y, ".17g")``), which
+    re-parse bit-exactly; JSON numbers are ``repr``, as the json encoder
+    writes a finite float. Each x is formatted once, each t once per row.
     """
-    templates = chain([pattern], repeat(sep + pattern))
-    for template, t, ys in zip(templates, obj.t_values, obj.y_rows):
-        yield template.replace("{t}", t_cell(t)) % tuple(ys)
-
-
-def _csv_chunks(obj: SurfaceGrid | IsocurveFamily) -> Iterator[str]:
-    """The CSV text in chunks: the header, then one chunk per t row.
-
-    Values carry 17 significant digits (``%.17g`` writes the bytes of
-    ``format(y, ".17g")``), so re-parsing reproduces every float
-    bit-exactly. Each x is formatted once per object and each t once
-    per row.
-    """
-    if isinstance(obj, SurfaceGrid):
-        header, line = "x,t,y\n", "{x},{{t}},%.17g\n"
-    elif isinstance(obj, IsocurveFamily):
-        header, line = "t,x,y\n", "{{t}},{x},%.17g\n"
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} as CSV")
-    yield header
-    yield from _rows_text("".join(line.format(x=_fmt17(x)) for x in obj.x_values), _fmt17, obj)
-
-
-def _json_chunks(obj: SurfaceGrid | IsocurveFamily) -> Iterator[str]:
-    """The text of ``render_json(obj)`` in chunks: the head, one per t row, then the tail.
-
-    Numbers are written with ``repr``, which is what the json encoder
-    writes for a finite float; sampling admits only finite values.
-    """
+    if format not in ("csv", "json"):
+        raise DomainError(f"unsupported export format {format!r}")
+    if not isinstance(obj, (SurfaceGrid, IsocurveFamily)):
+        raise TypeError(f"cannot render {type(obj).__name__} as {format.upper()}")
+    if format == "csv":
+        if isinstance(obj, SurfaceGrid):
+            header, line = "x,t,y\n", "{x},{{t}},%.17g\n"
+        else:
+            header, line = "t,x,y\n", "{{t}},{x},%.17g\n"
+        return header, "".join(line.format(x=_fmt17(x)) for x in obj.x_values), _fmt17, "", ""
     if isinstance(obj, SurfaceGrid):
         labels = "".join(
             f"  {json.dumps(key)}: {json.dumps(getattr(obj, key))},\n"
             for key in ("x_label", "y_label", "t_label")
         )
-        head, tail = "{\n" + labels + '  "points": [\n', "\n  ]\n}\n"
+        head = "{\n" + labels + '  "points": [\n'
         pattern = ",\n".join(f"    [\n      {x!r},\n      {{t}},\n      %r\n    ]" for x in obj.x_values)
-    elif isinstance(obj, IsocurveFamily):
+    else:
         t_list = ",\n".join(f"    {t!r}" for t in obj.t_values)
-        head, tail = '{\n  "t_values": [\n' + t_list + '\n  ],\n  "curves": [\n', "\n  ]\n}\n"
+        head = '{\n  "t_values": [\n' + t_list + '\n  ],\n  "curves": [\n'
         points = ",\n".join(f"      [\n        {x!r},\n        %r\n      ]" for x in obj.x_values)
         pattern = "    [\n" + points + "\n    ]"
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
-    yield head
-    yield from _rows_text(pattern, repr, obj, sep=",\n")
-    yield tail
+    return head, pattern, repr, ",\n", "\n  ]\n}\n"
+
+
+def _rows_text(layout: tuple, obj: SurfaceGrid | IsocurveFamily, start: int, stop: int) -> Iterator[str]:
+    """Rows ``start`` to ``stop`` of the export, each built when it is read."""
+    _, pattern, t_cell, sep, _ = layout
+    later = sep + pattern
+    for j in range(start, stop):
+        yield (later if j else pattern).replace("{t}", t_cell(obj.t_values[j])) % tuple(obj.y_rows[j])
 
 
 def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[str]:
@@ -397,16 +391,73 @@ def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[st
     Each row is rendered when it is read, so a writer that takes the
     chunks as they come holds at most one of them.
     """
-    if format == "csv":
-        return _csv_chunks(obj)
-    if format == "json":
-        return _json_chunks(obj)
-    raise DomainError(f"unsupported export format {format!r}")
+    head, *_, tail = layout = _layout(obj, format)
+    return chain([head], _rows_text(layout, obj, 0, len(obj.t_values)), [tail] if tail else [])
+
+
+def write_export(obj: SurfaceGrid | IsocurveFamily, format: str, file: TextIO) -> None:
+    """Write the text ``render_chunks(obj, format)`` yields to the text file ``file``.
+
+    Where ``os.fork`` exists and no other Python thread runs, an export
+    of two or more rows and at least ``SPLIT_POINTS`` points is rendered
+    by two processes: a forked child renders rows ``[n//2:]`` into an
+    unnamed temporary file while this process writes rows ``[:n//2]``,
+    then copies the child's rows after its own. A child's ``MemoryError``
+    or ``OSError`` is raised here; any other failure raises ``RuntimeError``.
+    """
+    head, *_, tail = layout = _layout(obj, format)
+    n = len(obj.t_values)
+    file.write(head)
+    threading = sys.modules.get("threading")  # never imported: no other Python thread was started
+    if (n >= 2 and n * len(obj.x_values) >= SPLIT_POINTS and hasattr(os, "fork")
+            and (threading is None or threading.active_count() == 1)):
+        _write_split(layout, obj, file, n)
+    else:
+        file.writelines(_rows_text(layout, obj, 0, n))
+    file.write(tail)
+
+
+def _write_split(layout: tuple, obj: SurfaceGrid | IsocurveFamily, file: TextIO, n: int) -> None:
+    import shutil
+    import signal
+    import tempfile
+
+    half = n // 2
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spill:
+        file.flush()  # nothing unwritten is copied into the child
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                spill.writelines(_rows_text(layout, obj, half, n))
+                spill.flush()
+                status = 0
+            except MemoryError:
+                status = 3
+            except OSError:
+                status = 4
+            finally:  # any other exception is a bug and leaves status 1
+                os._exit(status)
+        try:
+            file.writelines(_rows_text(layout, obj, 0, half))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if status == 3:
+            raise MemoryError
+        if status == 4:
+            raise OSError(f"rendering rows {half} to {n} of the export into a temporary file failed")
+        if status != 0:
+            raise RuntimeError(f"the child rendering rows {half} to {n} of the export exited {status}")
+        spill.seek(0)
+        shutil.copyfileobj(spill, file)
 
 
 def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
     """CSV text: columns x,t,y for a surface, t,x,y for isocurves."""
-    return "".join(_csv_chunks(obj))
+    return "".join(render_chunks(obj, "csv"))
 
 
 def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
@@ -416,4 +467,4 @@ def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
     in row-major (t, x) order; an iso-curve family's is
     ``{"t_values": [...], "curves": [[[x, y], ...] per t]}``.
     """
-    return "".join(_json_chunks(obj))
+    return "".join(render_chunks(obj, "json"))

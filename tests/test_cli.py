@@ -387,6 +387,78 @@ def test_surface_export_streams_under_a_memory_cap(tmp_path, fmt):
     assert filecmp.cmp(capped, reference, shallow=False)
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer forks")
+SPLIT_GRID = dict(CONFIG["grid"], nx=256, nt=256)  # 2**16 points, the smallest export two processes render
+
+
+@pytest.fixture
+def split_config(tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(dict(CONFIG, grid=SPLIT_GRID)), encoding="utf-8")
+    return str(path)
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_split_surface_export_to_out_and_to_stdout(split_config, tmp_path, capsys, forks, fmt):
+    reference = "".join(render_chunks(sample_surface(IdealGasEoS(n=1.0, R=8.314), GridSpec(**SPLIT_GRID)), fmt))
+    out_file = tmp_path / f"export.{fmt}"
+    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--format", fmt, "--out", str(out_file))
+    assert (code, out, err) == (0, f"wrote {out_file}\n", "")
+    assert out_file.read_bytes() == reference.encode()
+    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--format", fmt)
+    assert (code, out, err) == (0, reference, "")
+    assert len(forks) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("error, exit_code", [(OSError(28, "No space left on device"), 4), (MemoryError(), 3)])
+def test_a_failing_export_child_exits_with_the_code_of_its_error(split_config, tmp_path, capsys, forks,
+                                                                 failing_child, error, exit_code):
+    failing_child(error)
+    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--out", str(tmp_path / "export.csv"))
+    assert (code, out) == (exit_code, "")
+    assert one_error_line(err)
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_any_other_failure_of_an_export_child_is_a_bug(split_config, forks, failing_child):
+    failing_child(ValueError("a bug"))
+    with pytest.raises(RuntimeError, match="exited 1$"):
+        cli.main(["surface", "--config", split_config, "gas", "--format", "json"])
+    assert len(forks) == 1
+
+
+def processes_naming(text: str) -> list[str]:
+    """Process ids whose command line contains ``text``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and text.encode() in (entry / "cmdline").read_bytes():
+                found.append(entry.name)
+        except OSError:  # the process ended while it was read
+            pass
+    return found
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="lists processes through /proc")
+def test_split_export_to_a_reader_that_closes_early_exits_0_and_leaves_no_process(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dict(CONFIG, grid=dict(CONFIG["grid"], nx=512, nt=512))), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "market_eos.cli", "surface", "--config", str(path), "gas"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"x,t,y\n"  # the head is flushed before the fork
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        # a child left running would still render its rows now, with the same command line
+        assert processes_naming(str(path)) == []
+        assert (code, proc.stderr.read()) == (0, b"")
+
+
 def test_surface_grid_over_the_point_limit_exits_2(config_path, capsys):
     code, out, err = run(capsys, "surface", "--config", config_path, "gas", "--nx", "2001", "--nt", "2000")
     assert code == 2

@@ -221,6 +221,28 @@ def test_bisection_reads_excess_demand_at_most_66_times_over_all_positive_double
     assert len(set(calls)) == len(calls)
 
 
+def test_bisection_lands_far_from_the_closed_form_where_a_coefficient_is_subnormal():
+    # the limit README documents: excess demand is rounded at the scale of the subnormal q_d0,
+    # so its computed sign change lies 3.18e14 ULP (of either price) from the closed form
+    market = MarketSpec(
+        demand=LinearDemand(k_s=-2.926302070098786e-290, q_d0=1.5e-323),
+        supply=LinearSupply(k_d=6.4533546845947005e-31),
+    )
+    analytic = clearing_price_analytic(market).clearing_price
+    numeric = clearing_price_numeric(market).clearing_price
+    assert (analytic, numeric) == (2.2967851760294625e-293, 2.385234353846151e-293)
+    gap = numeric - analytic
+    assert gap / math.ulp(analytic) == gap / math.ulp(numeric) == 318008959490554.0
+
+
+def test_a_root_below_the_smallest_subnormal_rounds_up_in_closed_form_and_has_no_bracket():
+    # Pr* = 5e-324 / 1.7 is below the smallest positive double
+    market = MarketSpec(demand=LinearDemand(k_s=-0.1, q_d0=5e-324), supply=LinearSupply(k_d=1.6))
+    assert clearing_price_analytic(market).clearing_price == 5e-324
+    with pytest.raises(BracketingError, match="no sign change in excess demand over the positive doubles"):
+        clearing_price_numeric(market)
+
+
 def test_market_spec_invariants():
     with pytest.raises(InvariantError):
         MarketSpec(demand=LinearSupply(k_d=3.0), supply=LinearSupply(k_d=3.0))

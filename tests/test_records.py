@@ -120,3 +120,13 @@ def test_cli_start_up_imports_no_code_introspection_modules():
     probe = "import market_eos.cli, sys; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_start_up_without_site_imports_neither_tempfile_nor_threading():
+    # -S: a site .pth file may import either module at start-up, which would hide an import by the package;
+    # only an export large enough to be rendered by two processes needs tempfile
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import market_eos.cli, sys; print(sorted({'tempfile', 'threading'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 """Grid sampling, iso-curves, collapse checks, and deterministic exports."""
 
+import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from market_eos import (
     GridSpec,
     IdealGasEoS,
     InvariantError,
+    IsocurveFamily,
     LinearSupply,
     MarketSpec,
     SurfaceGrid,
@@ -29,7 +32,8 @@ from market_eos import (
     render_json,
     sample_surface,
 )
-from market_eos.surface import AUDIT_EPS, MAX_GRID_POINTS
+import market_eos.surface as surface_module
+from market_eos.surface import AUDIT_EPS, MAX_GRID_POINTS, write_export
 
 from grid_oracles import curves, document, points
 from packaged_schemas import load_schema
@@ -187,6 +191,69 @@ def test_render_chunks_are_one_per_row_and_join_to_the_renderers():
         assert json.loads(render_json(obj)) == document(obj)
     with pytest.raises(DomainError, match="unsupported export format 'xml'"):
         render_chunks(grid, "xml")
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer forks")
+
+
+@pytest.fixture
+def split_all(monkeypatch, forks):
+    """Every export of two or more rows is split; the list holds one entry per fork."""
+    monkeypatch.setattr(surface_module, "SPLIT_POINTS", 0)
+    return forks
+
+
+def rows_object(kind, n_rows):
+    xs = (1.0, 1.5, 2.0)
+    ts = tuple(1.0 + 0.25 * j for j in range(n_rows))
+    rows = tuple(tuple(UNIT_EOS.y_of(x, t) for x in xs) for t in ts)
+    return SurfaceGrid(*UNIT_EOS.axis_labels(), xs, ts, rows) if kind is SurfaceGrid else IsocurveFamily(xs, ts, rows)
+
+
+@needs_fork
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", [SurfaceGrid, IsocurveFamily])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_split_export_writes_the_text_of_render_chunks(split_all, fmt, kind, n_rows):
+    obj = rows_object(kind, n_rows)
+    out = io.StringIO()
+    write_export(obj, fmt, out)
+    assert out.getvalue() == "".join(render_chunks(obj, fmt))
+    assert len(split_all) == (n_rows >= 2)  # one row is written here alone
+
+
+def test_small_exports_are_written_by_one_process(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below SPLIT_POINTS"))
+    grid = sample_surface(UNIT_EOS, GridSpec(x_min=1.0, x_max=2.0, nx=255, t_min=1.0, t_max=2.0, nt=257))
+    out = io.StringIO()
+    write_export(grid, "json", out)  # 65 535 points, one short of 2**16
+    assert out.getvalue() == render_json(grid)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "error, raised",
+    [(OSError("disk full"), OSError), (MemoryError(), MemoryError), (ValueError("a bug"), RuntimeError)],
+)
+def test_a_failing_child_raises_here(split_all, failing_child, error, raised):
+    failing_child(error)
+    with pytest.raises(raised):
+        write_export(rows_object(SurfaceGrid, 4), "csv", io.StringIO())
+    assert len(split_all) == 1
+
+
+class ClosedAfterTheHead(io.StringIO):
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@needs_fork
+def test_a_failing_write_here_kills_and_reaps_the_child(split_all):
+    with pytest.raises(BrokenPipeError):
+        write_export(rows_object(IsocurveFamily, 5), "json", ClosedAfterTheHead())
+    assert len(split_all) == 1
 
 
 def test_domain_violation_names_offending_point():
