@@ -11,7 +11,6 @@ from .curves import (
 from .eos import (
     ConsistencyReport,
     UnitaryEoS,
-    amplification_factor,
     check_linear_consistency,
     derive_unitary_eos,
 )
@@ -49,7 +48,6 @@ from .surface import (
     sample_surface,
 )
 from .zeroth_law import (
-    MarketRegistry,
     quantize,
     rank_markets,
     verify_equivalence_laws,
@@ -74,12 +72,10 @@ __all__ = [
     "IsopriceCollapseReport",
     "LinearDemand",
     "LinearSupply",
-    "MarketRegistry",
     "MarketSpec",
     "SurfaceGrid",
     "UnitaryDemand",
     "UnitaryEoS",
-    "amplification_factor",
     "auto_bracket",
     "check_linear_consistency",
     "classify_elasticity",

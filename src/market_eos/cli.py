@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigDocument, load_config
-from .eos import amplification_factor, check_linear_consistency, derive_unitary_eos
+from .eos import check_linear_consistency, derive_unitary_eos
 from .equilibrium import clearing_price_analytic, clearing_price_numeric
 from .errors import BracketingError, ConfigError, DomainError, InvariantError
 from .surface import (
@@ -82,17 +82,18 @@ def _resolve_surface_eos(cfg: ConfigDocument, name: str):
     )
 
 
-def _resolve_grid(args, cfg: ConfigDocument) -> GridSpec:
-    base = cfg.grid
-    fields = {}
-    for key in ("x_min", "x_max", "nx", "t_min", "t_max", "nt"):
-        override = getattr(args, key)
-        if override is not None:
-            fields[key] = override
-        elif base is not None:
-            fields[key] = getattr(base, key)
-        else:
+def _grid_value(args, cfg: ConfigDocument, option: str, key: str):
+    """The command line's ``option`` if given, else the config's ``grid.<key>``."""
+    value = getattr(args, option)
+    if value is None:
+        if cfg.grid is None:
             raise ConfigError(f"grid.{key} is set neither in the config nor on the command line")
+        value = getattr(cfg.grid, key)
+    return value
+
+
+def _resolve_grid(args, cfg: ConfigDocument) -> GridSpec:
+    fields = {key: _grid_value(args, cfg, key, key) for key in ("x_min", "x_max", "nx", "t_min", "t_max", "nt")}
     try:
         return GridSpec(**fields)
     except InvariantError as exc:
@@ -134,7 +135,7 @@ def cmd_consistency(args, cfg: ConfigDocument) -> int:
 def cmd_eos(args, cfg: ConfigDocument) -> int:
     eos = derive_unitary_eos(cfg.market(args.market))
     _emit(partial(_write_json, eos.to_dict()), args.out)
-    print(f"K={_fmt(eos.K)} amplification={_fmt(amplification_factor(eos))} (D/mu0 analogue)")
+    print(f"K={_fmt(eos.K)} amplification={_fmt(1.0 / eos.K)} (D/mu0 analogue)")
     return 0
 
 
@@ -149,11 +150,8 @@ def cmd_surface(args, cfg: ConfigDocument) -> int:
 def cmd_isocurves(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     t_values = _parse_float_list(args.t_values, "t-values")
-    x_lo = args.x_min if args.x_min is not None else (cfg.grid.x_min if cfg.grid else None)
-    x_hi = args.x_max if args.x_max is not None else (cfg.grid.x_max if cfg.grid else None)
-    n_points = args.points if args.points is not None else (cfg.grid.nx if cfg.grid else None)
-    if x_lo is None or x_hi is None or n_points is None:
-        raise ConfigError("x range is set neither in the config grid nor on the command line")
+    x_lo, x_hi = _grid_value(args, cfg, "x_min", "x_min"), _grid_value(args, cfg, "x_max", "x_max")
+    n_points = _grid_value(args, cfg, "points", "nx")
     family = isocurves(eos, t_values, (x_lo, x_hi), n_points)
     _emit(partial(write_export, family, args.format), args.out)
     verdict = family_collapse(family)
@@ -175,11 +173,10 @@ def cmd_collapse(args, cfg: ConfigDocument) -> int:
 
 
 def cmd_zeroth(args, cfg: ConfigDocument) -> int:
-    registry = cfg.registry()
     # header first, so a market that fails to solve leaves only the header on stdout
     print("market quantized_price")
     # the rest is written at once, each class price formatted once
-    classes = [(_fmt(price), members) for price, members in verify_equivalence_laws(registry)]
+    classes = [(_fmt(price), members) for price, members in verify_equivalence_laws(cfg.markets, cfg.quantum)]
     report = [f"{name} {price}\n" for price, members in classes for name in members]
     # the relation is a partition by integer tick, so the three laws hold for every registry
     report.append("laws: reflexive=pass symmetric=pass transitive=pass\n")

@@ -4,8 +4,8 @@ A single config document names every market and reference EoS a run
 can refer to, so figure recipes are reproducible files rather than
 flag soup. The parser checks a document's shape (unknown fields are
 rejected); the constructors of the domain objects check every value.
-The packaged config schema, which describes the same documents, is the
-reference the parser is tested against.
+The config schema under ``tests/schemas/``, which describes the same
+documents, is the reference the parser is tested against.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, DomainError, InvariantError
 from .record import Record, set_field
 from .reference_eos import CurieParamagnetEoS, IdealGasEoS
 from .surface import GridSpec
-from .zeroth_law import DEFAULT_QUANTUM, MarketRegistry
+from .zeroth_law import DEFAULT_QUANTUM, require_quantum
 
 SCHEMA_VERSION = "1"
 
@@ -62,9 +62,6 @@ class ConfigDocument(Record):
         if name not in self.markets:
             raise ConfigError(f"unknown market {name!r}; configured: {sorted(self.markets) or 'none'}")
         return self.markets[name]
-
-    def registry(self) -> MarketRegistry:
-        return MarketRegistry(entries=self.markets, quantum=self.quantum)
 
 
 def _invalid(where: str, message: str) -> ConfigError:
@@ -126,14 +123,6 @@ def _checked(block: object, kind: str, where: str) -> dict:
     return block if converted is None else converted
 
 
-def _built(label: str, build, *args, **kwargs):
-    """Call ``build``; its ``InvariantError`` becomes a ``ConfigError`` naming ``label``."""
-    try:
-        return build(*args, **kwargs)
-    except InvariantError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
 def _build_market(entry: dict) -> MarketSpec:
     if entry["family"] == "linear":
         demand = LinearDemand(entry["k_s"], entry["q_d0"])
@@ -178,10 +167,15 @@ def parse_config(document: dict) -> ConfigDocument:
 
     grid = None
     if "grid" in document:
-        grid = _built("grid", GridSpec, **_checked(document["grid"], "grid", "grid"))
-    # registry() is built on demand, so its quantum rule is applied here
+        try:
+            grid = GridSpec(**_checked(document["grid"], "grid", "grid"))
+        except InvariantError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
     quantum = document.get("quantum", DEFAULT_QUANTUM)
-    _built("quantum", MarketRegistry, entries={}, quantum=quantum)
+    try:
+        require_quantum(quantum)
+    except DomainError as exc:
+        raise ConfigError(f"quantum: {exc}") from exc
 
     return ConfigDocument(
         markets=markets,

@@ -120,11 +120,14 @@ class UnitaryDemand(Record):
 def point_elasticity(curve: LinearDemand | UnitaryDemand | LinearSupply, pr0: float) -> float:
     """Point-price elasticity slope(pr0) * pr0 / quantity(pr0).
 
-    Requires pr0 > 0 and a nonzero quantity at pr0;
+    Requires pr0 > 0, a nonzero quantity at pr0 and a finite quotient;
     :func:`classify_elasticity` names its elastic/unitary/inelastic band.
     """
     _require_positive_price(pr0)
     q0 = curve.quantity(pr0)
     if q0 == 0.0:
         raise DomainError(f"elasticity undefined at zero quantity (pr0={pr0})")
-    return curve.slope(pr0) * pr0 / q0
+    elasticity = curve.slope(pr0) * pr0 / q0
+    if not math.isfinite(elasticity):
+        raise DomainError(f"elasticity at pr0={pr0} is not finite: {elasticity}")
+    return elasticity

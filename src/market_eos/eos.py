@@ -49,10 +49,6 @@ class UnitaryEoS(Record):
         set_field(self, "K", K)
         set_field(self, "source_market", source_market)
 
-    @property
-    def households(self) -> int:
-        return self.source_market.households
-
     def axis_labels(self) -> tuple[str, str, str]:
         return ("Q_s", "q_d", "Pr")
 
@@ -74,16 +70,16 @@ class UnitaryEoS(Record):
             yield [v / t for v in kx], [t] * len(xs), kx
 
     def to_dict(self) -> dict:
-        demand = self.source_market.demand
+        market = self.source_market
         return {
             "K": self.K,
-            "N": self.households,
+            "N": market.households,
             "source": {
                 "family": "unitary",
-                "k_s": demand.k_s,
-                "k_d": self.source_market.supply.k_d,
-                "households": self.households,
-                "interpretation": self.source_market.interpretation,
+                "k_s": market.demand.k_s,
+                "k_d": market.supply.k_d,
+                "households": market.households,
+                "interpretation": market.interpretation,
             },
         }
 
@@ -181,8 +177,3 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
             f"but the clearing price over N is {pr_star / n}"
         )
     return UnitaryEoS(K=k, source_market=market)
-
-
-def amplification_factor(eos: UnitaryEoS) -> float:
-    """Factor 1/K by which q^d induces Q^s, as D/mu0 amplifies a paramagnet's field."""
-    return 1.0 / eos.K

@@ -259,6 +259,14 @@ def isocurves(
     )
 
 
+def _max_rel_gap(pairs) -> float:
+    """Largest ``|a - b| / max(|a|, |b|, 1e-300)`` over the pairs ``(a, b)``, 0.0 for none; a NaN gap is skipped."""
+    max_rel = 0.0
+    for a, b in pairs:
+        max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b), 1.0e-300))
+    return max_rel
+
+
 class IsopriceCollapseReport(Record):
     """Degeneracy check of the clearing-constrained market states.
 
@@ -294,16 +302,13 @@ def isoprice_collapse_check(market: MarketSpec, prices: list[float]) -> Isoprice
 
     n = market.households
     points = []
-    max_rel = 0.0
     for pr in prices:
         q_d = market.demand.quantity(pr)
         q_s = n * q_d
         if not (math.isfinite(q_d) and math.isfinite(q_s)):
             raise DomainError(f"price {pr} gives a non-finite cleared state (Q_s={q_s}, q_d={q_d})")
-        line_y = q_s / n
-        scale = max(abs(q_d), abs(line_y), 1.0e-300)
-        max_rel = max(max_rel, abs(q_d - line_y) / scale)
         points.append((q_s, q_d))
+    max_rel = _max_rel_gap((q_d, q_s / n) for q_s, q_d in points)
     return IsopriceCollapseReport(
         line_slope=1.0 / n,
         prices=tuple(prices),
@@ -326,12 +331,8 @@ class CurveCollapseReport(Record):
 
 def family_collapse(family: IsocurveFamily) -> CurveCollapseReport:
     """Pointwise comparison of all curves against the first one."""
-    base = family.y_rows[0]
-    max_rel = 0.0
-    for ys in family.y_rows[1:]:
-        for y0, y in zip(base, ys):
-            scale = max(abs(y0), abs(y), 1.0e-300)
-            max_rel = max(max_rel, abs(y - y0) / scale)
+    base, later = family.y_rows[0], family.y_rows[1:]
+    max_rel = _max_rel_gap(zip(chain.from_iterable(repeat(base, len(later))), chain.from_iterable(later)))
     return CurveCollapseReport(
         n_curves=len(family.y_rows),
         max_rel_difference=max_rel,

@@ -1,9 +1,9 @@
-"""The JSON schemas shipped as package data, read from the source tree by path."""
+"""The JSON schemas of the config and the exports, kept beside the tests and read by path."""
 
 import json
 from pathlib import Path
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "market_eos" / "schemas"
+SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
 
 def load_schema(name: str) -> dict:

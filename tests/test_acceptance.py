@@ -16,7 +16,6 @@ from market_eos import (
     IdealGasEoS,
     LinearDemand,
     LinearSupply,
-    MarketRegistry,
     MarketSpec,
     UnitaryDemand,
     check_linear_consistency,
@@ -150,7 +149,8 @@ def test_c5_isoprice_collapse_vs_gas_isotherms():
     report(5, "isoprice collapse vs distinct gas isotherms", ok, time.perf_counter() - start, 2.0)
 
 
-def _random_registry(rng) -> MarketRegistry:
+def _random_registry(rng) -> tuple[dict, float]:
+    """Named markets and a price quantum."""
     n = int(rng.integers(1, 51))
     entries = {}
     for i in range(n):
@@ -170,7 +170,7 @@ def _random_registry(rng) -> MarketRegistry:
                 households=int(rng.integers(1, 101)),
             )
     quantum = float(rng.choice([1e-9, 1e-6, 1e-3, 0.25]))
-    return MarketRegistry(entries=entries, quantum=quantum)
+    return entries, quantum
 
 
 def test_c6_zeroth_law_over_random_registries():
@@ -178,15 +178,15 @@ def test_c6_zeroth_law_over_random_registries():
     start = time.perf_counter()
     ok = True
     for _ in range(200):
-        registry = _random_registry(rng)
-        classes = verify_equivalence_laws(registry)
+        markets, quantum = _random_registry(rng)
+        classes = verify_equivalence_laws(markets, quantum)
         prices = [price for price, _ in classes]
         flattened = [(price, name) for price, members in classes for name in members]
         # a partition: one class per distinct price, every market in exactly one class
-        if prices != sorted(set(prices)) or sorted(name for _, name in flattened) != sorted(registry.entries):
+        if prices != sorted(set(prices)) or sorted(name for _, name in flattened) != sorted(markets):
             ok = False
             break
-        ranked = rank_markets(registry)
+        ranked = rank_markets(markets, quantum)
         if [(price, name) for name, price in ranked] != flattened:
             ok = False
             break

@@ -135,6 +135,12 @@ def test_eos_command(config_path, capsys):
     assert doc["N"] == 4
 
 
+def test_eos_prints_the_reciprocal_of_k_as_amplification(config_path, capsys):
+    code, out, _ = run(capsys, "eos", "--config", config_path, "grain")
+    assert code == 0
+    assert out.endswith("\nK=2 amplification=0.5 (D/mu0 analogue)\n")
+
+
 def test_eos_with_an_overflowing_price_quotient(tmp_path, capsys):
     # N*k_s/k_d = 1e312 overflows, but the market clears at Pr* = 1e156 with K = 1e150
     path = tmp_path / "wide.json"
@@ -329,6 +335,37 @@ def test_non_finite_value_list_exits_2(config_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "is not a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["isocurves", "gas", "--t-values", "300,warm"], "t-values: could not convert string to float: 'warm'"),
+        (["collapse", "credit", "--prices=1,abc"], "prices: could not convert string to float: 'abc'"),
+    ],
+)
+def test_non_numeric_value_list_exits_2(config_path, capsys, argv, what):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, "--config", config_path, name, *rest)
+    assert (code, out, err) == (2, "", f"error: {what}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["surface", "gas"], "x_min"),
+        (["surface", "gas", "--x-min=1", "--x-max=2", "--nx=2", "--t-min=1", "--t-max=2"], "nt"),
+        (["isocurves", "gas", "--t-values", "1,2"], "x_min"),
+        (["isocurves", "gas", "--t-values", "1,2", "--x-min=1", "--x-max=2"], "nx"),
+    ],
+)
+def test_grid_value_set_neither_in_the_config_nor_on_the_command_line_exits_2(tmp_path, capsys, argv, key):
+    path = tmp_path / "no-grid.json"
+    path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "grid"}), encoding="utf-8")
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--config", str(path), *rest)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid.{key} is set neither in the config nor on the command line\n"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux only")
@@ -715,6 +752,13 @@ def test_zeroth_infinite_quantum_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: quantum: quantum must be positive and finite, got inf\n"
+
+
+@pytest.mark.parametrize("quantum", [0, 0.0, -1e-9])
+def test_zeroth_quantum_that_is_not_positive_exits_2(tmp_path, capsys, quantum):
+    code, out, err = zeroth_on(tmp_path, capsys, quantum=quantum, markets=CONFIG["markets"])
+    assert (code, out) == (2, "")
+    assert err == f"error: quantum: quantum must be positive and finite, got {quantum}\n"
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1" + "0" * 400,

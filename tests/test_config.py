@@ -60,12 +60,6 @@ def test_full_document():
     assert cfg.quantum == 1e-6
 
 
-def test_registry_from_config():
-    reg = parse_config(FULL).registry()
-    assert set(reg.entries) == {"a", "b"}
-    assert reg.quantum == 1e-6
-
-
 def test_unknown_top_level_field_rejected():
     with pytest.raises(ConfigError, match="invalid config"):
         parse_config({"version": "1", "markets": [], "plots": True})

@@ -98,6 +98,16 @@ def test_elasticity_undefined_at_zero_quantity():
         point_elasticity(d, 5.0)  # the choke price, where quantity is zero
 
 
+@pytest.mark.parametrize("curve, pr0", [
+    (LinearDemand(k_s=-1e300, q_d0=1e300), 1e10),  # quantity and slope * price both -inf: their quotient is NaN
+    (LinearSupply(k_d=1e300), 1e10),
+    (UnitaryDemand(k_s=1e300), 1e-10),
+])
+def test_elasticity_that_is_not_finite_raises(curve, pr0):
+    with pytest.raises(DomainError, match="is not finite"):
+        point_elasticity(curve, pr0)
+
+
 def test_curve_invariants_rejected():
     with pytest.raises(InvariantError):
         LinearDemand(k_s=2.0, q_d0=10.0)

@@ -18,7 +18,6 @@ from market_eos import (
     LinearSupply,
     MarketSpec,
     UnitaryDemand,
-    amplification_factor,
     check_linear_consistency,
     clearing_price_analytic,
     derive_unitary_eos,
@@ -94,7 +93,7 @@ def test_surface_constant_identity_with_clearing_price():
     market = unitary_market()
     eos = derive_unitary_eos(market)
     pr_star = clearing_price_analytic(market).clearing_price
-    assert eos.K * eos.households == pytest.approx(pr_star, rel=1e-12)
+    assert eos.K * market.households == pytest.approx(pr_star, rel=1e-12)
 
 
 def test_derive_rejects_linear_market():
@@ -140,14 +139,6 @@ def test_eos_to_dict_field_names():
     assert doc["source"]["family"] == "unitary"
 
 
-def test_amplification_factors():
-    assert amplification_factor(derive_unitary_eos(unitary_market(8.0, 2.0, 4))) == 1.0
-    amp = amplification_factor(derive_unitary_eos(unitary_market(8.0, 2.0, 1)))  # K = 2
-    assert amp == 0.5
-    assert type(amp) is float
-    assert amplification_factor(derive_unitary_eos(unitary_market(1.0, 16.0, 1))) == 4.0
-
-
 coef = st.floats(min_value=0.01, max_value=100.0)
 
 
@@ -161,12 +152,6 @@ def test_equilibrium_point_lies_on_surface(k_s, k_d, n):
     # the implicit form q_d * Pr = K * Q_s, not the closed form that built K
     assert abs(q_d * eq.clearing_price - eos.K * q_s) <= 1e-12 * eos.K * q_s
     assert abs(eos.K * n - eq.clearing_price) <= 1e-12 * eq.clearing_price
-
-
-@given(k_s=coef, k_d=coef, n=st.integers(min_value=1, max_value=10_000))
-def test_amplification_reciprocity(k_s, k_d, n):
-    eos = derive_unitary_eos(unitary_market(k_s, k_d, n))
-    assert abs(amplification_factor(eos) * eos.K - 1.0) <= 1e-15
 
 
 @given(

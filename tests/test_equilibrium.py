@@ -246,6 +246,8 @@ def test_a_root_below_the_smallest_subnormal_rounds_up_in_closed_form_and_has_no
 def test_market_spec_invariants():
     with pytest.raises(InvariantError):
         MarketSpec(demand=LinearSupply(k_d=3.0), supply=LinearSupply(k_d=3.0))
+    with pytest.raises(InvariantError, match="supply must be a supply curve, got UnitaryDemand"):
+        MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=UnitaryDemand(k_s=2.0))
     with pytest.raises(InvariantError):
         MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=10.0), supply=LinearSupply(k_d=3.0), households=0)
     # a count beyond the largest double cannot take part in float arithmetic

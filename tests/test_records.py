@@ -21,7 +21,6 @@ from market_eos import (
     IsopriceCollapseReport,
     LinearDemand,
     LinearSupply,
-    MarketRegistry,
     MarketSpec,
     SurfaceGrid,
     UnitaryDemand,
@@ -53,8 +52,6 @@ RECORDS = [
      "classification_d='imaginary', classification_s='imaginary', consistent=False, reason='r')"),
     (IdealGasEoS, {"n": 1.0, "R": 8.314}, 2, "IdealGasEoS(n=1.0, R=8.314)"),
     (CurieParamagnetEoS, {"D": 2.0, "mu0": 1.0}, 1, "CurieParamagnetEoS(D=2.0, mu0=1.0)"),
-    (MarketRegistry, {"entries": {"a": MARKET}, "quantum": 1e-9}, 1,
-     f"MarketRegistry(entries={{'a': {MARKET_REPR}}}, quantum=1e-09)"),
     (GridSpec, {"x_min": 1.0, "x_max": 2.0, "nx": 2, "t_min": 1.0, "t_max": 2.0, "nt": 3}, 0,
      "GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=1.0, t_max=2.0, nt=3)"),
     (SurfaceGrid, {"x_label": "x", "y_label": "y", "t_label": "t", "x_values": (1.0, 2.0), "t_values": (1.0,),

@@ -272,6 +272,9 @@ def test_grid_spec_invariants():
         GridSpec(x_min=1.0, x_max=float("inf"), nx=2, t_min=1.0, t_max=2.0, nt=2)
     with pytest.raises(InvariantError, match="t_min must be finite"):
         GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=float("nan"), t_max=2.0, nt=2)
+    for t_min in (2.0, 3.0):
+        with pytest.raises(InvariantError, match=r"need t_min < t_max, got \["):
+            GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=t_min, t_max=2.0, nt=2)
 
 
 def test_point_limit_is_checked_before_any_axis_is_built():

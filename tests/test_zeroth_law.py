@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from market_eos import (
     DomainError,
-    InvariantError,
     LinearDemand,
     LinearSupply,
-    MarketRegistry,
     MarketSpec,
     UnitaryDemand,
     clearing_price_analytic,
@@ -27,37 +25,34 @@ MARKET_A = MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=10.0), supply=LinearSup
 MARKET_B = MarketSpec(demand=LinearDemand(k_s=-3.0, q_d0=10.0), supply=LinearSupply(k_d=2.0))
 MARKET_C = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0))
 MARKET_D = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)
-
-
-def registry(**entries):
-    return MarketRegistry(entries=entries)
+QUANTUM = 1e-9
 
 
 def test_equal_clearing_prices_are_in_equilibrium():
-    assert verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B)) == ((2.0, ("A", "B")),)
+    assert verify_equivalence_laws(dict(A=MARKET_A, B=MARKET_B), QUANTUM) == ((2.0, ("A", "B")),)
 
 
 def test_reflexivity_of_single_market():
-    assert verify_equivalence_laws(registry(A=MARKET_A)) == ((2.0, ("A",)),)
+    assert verify_equivalence_laws(dict(A=MARKET_A), QUANTUM) == ((2.0, ("A",)),)
 
 
 def test_cross_family_equilibrium():
     # linear market at Pr*=2 against a unitary one at sqrt(8/2)=2
-    assert verify_equivalence_laws(registry(A=MARKET_A, C=MARKET_C)) == ((2.0, ("A", "C")),)
+    assert verify_equivalence_laws(dict(A=MARKET_A, C=MARKET_C), QUANTUM) == ((2.0, ("A", "C")),)
 
 
 def test_unequal_prices_not_in_equilibrium():
-    assert verify_equivalence_laws(registry(A=MARKET_A, D=MARKET_D)) == ((2.0, ("A",)), (4.0, ("D",)))
+    assert verify_equivalence_laws(dict(A=MARKET_A, D=MARKET_D), QUANTUM) == ((2.0, ("A",)), (4.0, ("D",)))
 
 
 def test_ranking_with_tie():
-    ranked = rank_markets(registry(A=MARKET_A, D=MARKET_D, B=MARKET_B))
+    ranked = rank_markets(dict(A=MARKET_A, D=MARKET_D, B=MARKET_B), QUANTUM)
     assert ranked == [("A", 2.0), ("B", 2.0), ("D", 4.0)]
 
 
 def test_ranking_edge_sizes():
-    assert rank_markets(registry(A=MARKET_A)) == [("A", 2.0)]
-    assert rank_markets(registry()) == []
+    assert rank_markets(dict(A=MARKET_A), QUANTUM) == [("A", 2.0)]
+    assert rank_markets({}, QUANTUM) == []
 
 
 def test_quantize_half_to_even():
@@ -74,28 +69,30 @@ def test_quantize_rejects_non_finite_ticks(price, quantum):
 
 
 def test_laws_pass_on_equal_price_triple():
-    assert verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, C=MARKET_C)) == ((2.0, ("A", "B", "C")),)
+    assert verify_equivalence_laws(dict(A=MARKET_A, B=MARKET_B, C=MARKET_C), QUANTUM) == ((2.0, ("A", "B", "C")),)
 
 
 def test_mixed_prices_partition_into_two_classes():
-    classes = verify_equivalence_laws(registry(A=MARKET_A, B=MARKET_B, D=MARKET_D))
+    classes = verify_equivalence_laws(dict(A=MARKET_A, B=MARKET_B, D=MARKET_D), QUANTUM)
     assert classes == ((2.0, ("A", "B")), (4.0, ("D",)))
 
 
 def test_empty_registry_report():
-    assert verify_equivalence_laws(registry()) == ()
+    assert verify_equivalence_laws({}, QUANTUM) == ()
 
 
-def test_registry_invariants():
-    for quantum in (0.0, float("inf"), float("nan")):
-        with pytest.raises(InvariantError):
-            MarketRegistry(entries={}, quantum=quantum)
+@pytest.mark.parametrize("quantum", [0.0, -0.0, -1e-9, float("inf"), float("-inf"), float("nan")])
+def test_quantum_must_be_positive_and_finite(quantum):
+    for call in (lambda: verify_equivalence_laws({}, quantum), lambda: rank_markets({"A": MARKET_A}, quantum),
+                 lambda: quantize(1.0, quantum)):
+        with pytest.raises(DomainError, match="quantum must be positive and finite"):
+            call()
 
 
 def test_ranking_consistent_with_classes():
-    reg = registry(A=MARKET_A, B=MARKET_B, C=MARKET_C, D=MARKET_D)
-    ranked = rank_markets(reg)
-    by_class = [(price, name) for price, members in verify_equivalence_laws(reg) for name in members]
+    markets = dict(A=MARKET_A, B=MARKET_B, C=MARKET_C, D=MARKET_D)
+    ranked = rank_markets(markets, QUANTUM)
+    by_class = [(price, name) for price, members in verify_equivalence_laws(markets, QUANTUM) for name in members]
     assert [(price, name) for name, price in ranked] == by_class
 
 
@@ -124,29 +121,27 @@ market_strategy = st.one_of(
     quantum=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
 )
 def test_laws_hold_for_random_registries(markets, quantum):
-    reg = MarketRegistry(
-        entries={f"m{i}": m for i, m in enumerate(markets)}, quantum=quantum
-    )
-    classes = verify_equivalence_laws(reg)
-    # classes partition the registry, one class per distinct price
+    named = {f"m{i}": m for i, m in enumerate(markets)}
+    classes = verify_equivalence_laws(named, quantum)
+    # classes partition the markets, one class per distinct price
     names = [name for _, members in classes for name in members]
-    assert sorted(names) == sorted(reg.entries)
+    assert sorted(names) == sorted(named)
     prices = [price for price, _ in classes]
     assert prices == sorted(set(prices))
 
 
-def brute_force_relation(reg):
+def brute_force_relation(markets, quantum):
     """Pairwise verdicts as an int64 matrix, and whether the laws hold.
 
     Checks every pair for reflexivity and symmetry and every (a, b, c)
     triple for transitivity. Counts are int64, so with n <= 64 the number
     of intermediate markets b cannot wrap.
     """
-    names = list(reg.entries)
+    names = list(markets)
     n = len(names)
     assert n <= 64
-    tick = {name: quantize(clearing_price_analytic(market).clearing_price, reg.quantum)
-            for name, market in reg.entries.items()}
+    tick = {name: quantize(clearing_price_analytic(market).clearing_price, quantum)
+            for name, market in markets.items()}
     related = np.array([[tick[a] == tick[b] for b in names] for a in names], dtype=np.int64)
     paths = related @ related  # paths[a, c] = #b with a~b and b~c
     reflexive = bool(np.all(np.diag(related) == 1))
@@ -164,9 +159,9 @@ registry_strategy = st.lists(market_strategy, min_size=1, max_size=12).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(markets=registry_strategy, quantum=st.sampled_from([1e-9, 1e-3, 0.5]))
 def test_partition_agrees_with_brute_force_triples(markets, quantum):
-    reg = MarketRegistry(entries={f"m{i}": m for i, m in enumerate(markets)}, quantum=quantum)
-    names, related, laws = brute_force_relation(reg)
-    classes = verify_equivalence_laws(reg)
+    named = {f"m{i}": m for i, m in enumerate(markets)}
+    names, related, laws = brute_force_relation(named, quantum)
+    classes = verify_equivalence_laws(named, quantum)
     assert laws == (True, True, True)
     class_of = {name: k for k, (_, members) in enumerate(classes) for name in members}
     assert sorted(class_of) == sorted(names)
