@@ -30,6 +30,7 @@ from .surface import (
     isocurves,
     isoprice_collapse_check,
     sample_surface,
+    split_export,
     write_export,
 )
 # render_csv and render_json are not called here; perfbench's tracer wraps them as cli.render_*
@@ -142,8 +143,9 @@ def cmd_eos(args, cfg: ConfigDocument) -> int:
 def cmd_surface(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     grid = _resolve_grid(args, cfg)
-    sampled = sample_surface(eos, grid)
-    _emit(partial(write_export, sampled, args.format), args.out)
+    with split_export(eos, grid, args.format) as write:
+        # None where one process samples, audits and writes the whole grid
+        _emit(write or partial(write_export, sample_surface(eos, grid), args.format), args.out)
     return 0
 
 

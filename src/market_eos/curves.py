@@ -112,9 +112,9 @@ class UnitaryDemand(Record):
         return self.k_s / pr
 
     def slope(self, pr: float) -> float:
-        """d(quantity)/d(price) = -k_s / pr**2."""
+        """d(quantity)/d(price) = -k_s / pr**2, divided by pr twice: ``pr * pr`` overflows or underflows."""
         _require_positive_price(pr)
-        return -self.k_s / (pr * pr)
+        return -(self.k_s / pr) / pr
 
 
 def point_elasticity(curve: LinearDemand | UnitaryDemand | LinearSupply, pr0: float) -> float:
@@ -127,7 +127,9 @@ def point_elasticity(curve: LinearDemand | UnitaryDemand | LinearSupply, pr0: fl
     q0 = curve.quantity(pr0)
     if q0 == 0.0:
         raise DomainError(f"elasticity undefined at zero quantity (pr0={pr0})")
-    elasticity = curve.slope(pr0) * pr0 / q0
+    # a unitary slope times the price is -k_s / pr0, which is -q0, but the slope alone can leave the
+    # double range where -q0 does not
+    elasticity = (-q0 if isinstance(curve, UnitaryDemand) else curve.slope(pr0) * pr0) / q0
     if not math.isfinite(elasticity):
         raise DomainError(f"elasticity at pr0={pr0} is not finite: {elasticity}")
     return elasticity

@@ -30,10 +30,14 @@ Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
 CSV or JSON, byte-deterministic for a given grid, and built one t row
 at a time from one layout per format: ``render_chunks`` yields the rows
-and ``write_export`` writes them as they come, the second half of a
-large export's rows rendered by a forked child. Only the sampled grid
-and a row are held: a 2000 x 2000 gas export peaks near 170 MB (peak
-RSS, 2-vCPU VM, Python 3.11), where the whole text took 602-846 MB.
+and ``write_export`` writes them as they come, a forked child rendering
+the second half of a large export's rows. ``split_export`` forks before
+sampling instead: each process samples, audits and renders its half of
+a large surface's rows, and nothing is written until both halves have
+passed their audit. Only the sampled grid, half of it in each process
+of a split, and a row are held: a 2000 x 2000 gas export peaks near
+92 MB (peak RSS, 2-vCPU VM, Python 3.11), 168 MB when one process held
+the whole grid, where the whole text took 602-846 MB.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from itertools import chain, repeat
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
@@ -60,13 +65,16 @@ _AUDIT_ABS = AUDIT_EPS * math.ulp(0.0)
 _DBL_MIN = sys.float_info.min
 
 # Largest number of points a surface grid or an iso-curve family may
-# have: a 2000 x 2000 grid, whose streamed CLI export peaks near 170 MB
-# of memory as CSV and as JSON, most of it the sampled grid (1000 x 1000:
-# 54 MB). Checked before any axis is built.
+# have: a 2000 x 2000 grid, whose streamed CLI surface export peaks near
+# 92 MB of memory as CSV and as JSON, most of it the half of the sampled
+# grid each process holds (1000 x 1000: 34 MB); an iso-curve family is
+# sampled by one process and peaks near 170 MB. Checked before any axis
+# is built.
 MAX_GRID_POINTS = 4_000_000
 
-# Smallest export, in points, that ``write_export`` splits. The fork and the temporary
-# file cost 2-3 ms, which a split wins back at 2**12 to 2**14 points (CSV, 2-vCPU VM).
+# Smallest export, in points, that ``write_export`` and ``split_export`` split. The fork,
+# the pipe and the temporary file cost 2.0-2.4 ms from a small process, which sampling and
+# rendering in two processes win back between 2**12 and 2**14 points (gas CSV, 2-vCPU VM).
 SPLIT_POINTS = 2**16
 
 # Pointwise relative tolerance for declaring curves (or points on a
@@ -146,19 +154,23 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _row_passes(xs: list[float], ys: list[float], ws: list[float], rs: list[float]) -> bool:
+def _row_passes(xs: list[float], ys: list[float], ws: list[float], rs: list[float],
+                bounds: list[float] | None = None) -> bool:
     """Every y is normal, or zero where its x is, and every ``y * w`` is within the audit bound of ``r``.
 
     Each surface is zero exactly where x is, so a zero y anywhere else
     has underflowed. Written so that a NaN anywhere fails it. The scan
     for small y is skipped when every y is normal and of one sign, and
     the audit lists its failures, which runs faster than ``all`` over a
-    generator.
+    generator. ``bounds``, if given, holds each r's bound, computed once
+    for a list of right-hand sides that many rows share.
     """
     one_signed_normal = min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN
     if not one_signed_normal and any(abs(y) < _DBL_MIN and (y or x) for x, y in zip(xs, ys)):
         return False
-    return not [y for y, w, r in zip(ys, ws, rs) if not abs(y * w - r) <= _AUDIT_REL * abs(r) + _AUDIT_ABS]
+    if bounds is None:
+        return not [y for y, w, r in zip(ys, ws, rs) if not abs(y * w - r) <= _AUDIT_REL * abs(r) + _AUDIT_ABS]
+    return not [y for y, w, r, bound in zip(ys, ws, rs, bounds) if not abs(y * w - r) <= bound]
 
 
 def _audit_point(eos, x: float, y: float, t: float, w: float, r: float) -> None:
@@ -196,8 +208,8 @@ def _first_outside(eos, points) -> tuple[int | None, DomainError | None]:
     return None, None
 
 
-def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ...], ...]:
-    """One tuple of audited y values per t, in x order.
+def _checked_axes(eos, xs: list[float], ts: list[float]) -> tuple[list[float], list[float], DomainError | None]:
+    """The axes to sample, cut before the first point outside the domain, and that point's error.
 
     Linear spacing can round past the double range between finite
     bounds, and isocurve t values come from the caller, so each axis
@@ -214,15 +226,29 @@ def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ..
     stop, outside = _first_outside(eos, zip(xs, repeat(ts[0])))
     if outside is None:
         stop, outside = _first_outside(eos, zip(repeat(xs[0]), ts))
-        ts = ts[:stop]
-    else:
-        xs, ts = xs[:stop], ts[:1] if stop else []
-    y_rows = []
+        return xs, ts[:stop], outside
+    return xs[:stop], ts[:1] if stop else [], outside
+
+
+def _audited_rows(eos, xs: list[float], ts: list[float]) -> list[tuple[float, ...]]:
+    """One tuple of audited y values per t over ``xs``, every point inside the domain."""
+    y_rows, last_rs, bounds = [], None, None
     for t, (ys, ws, rs) in zip(ts, eos.rows(xs, ts)):
-        if not _row_passes(xs, ys, ws, rs):
+        if rs is not last_rs:
+            last_rs, bounds = rs, None
+        elif bounds is None:  # met again: the market and the magnet yield one right-hand side list for every row
+            bounds = [_AUDIT_REL * abs(r) + _AUDIT_ABS for r in rs]
+        if not _row_passes(xs, ys, ws, rs, bounds):
             for x, y, w, r in zip(xs, ys, ws, rs):
                 _audit_point(eos, x, y, t, w, r)
         y_rows.append(tuple(ys))
+    return y_rows
+
+
+def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ...], ...]:
+    """One tuple of audited y values per t, in x order; errors name the first failing point in (t, x) order."""
+    xs, ts, outside = _checked_axes(eos, xs, ts)
+    y_rows = _audited_rows(eos, xs, ts)
     if outside is not None:
         raise outside
     return tuple(y_rows)
@@ -260,10 +286,17 @@ def isocurves(
 
 
 def _max_rel_gap(pairs) -> float:
-    """Largest ``|a - b| / max(|a|, |b|, 1e-300)`` over the pairs ``(a, b)``, 0.0 for none; a NaN gap is skipped."""
+    """Largest ``|a - b| / max(|a|, |b|, 1e-300)`` over the pairs ``(a, b)``, 0.0 for none.
+
+    NaN as soon as a value is NaN or infinite, whose gap is NaN.
+    """
     max_rel = 0.0
     for a, b in pairs:
-        max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b), 1.0e-300))
+        gap = abs(a - b) / max(abs(a), abs(b), 1.0e-300)
+        if gap != gap:
+            return gap
+        if gap > max_rel:
+            max_rel = gap
     return max_rel
 
 
@@ -330,9 +363,14 @@ class CurveCollapseReport(Record):
 
 
 def family_collapse(family: IsocurveFamily) -> CurveCollapseReport:
-    """Pointwise comparison of all curves against the first one."""
-    base, later = family.y_rows[0], family.y_rows[1:]
-    max_rel = _max_rel_gap(zip(chain.from_iterable(repeat(base, len(later))), chain.from_iterable(later)))
+    """Pointwise comparison of all curves against the first one, itself included.
+
+    Raises ``DomainError`` where a y value is not finite.
+    """
+    rows = family.y_rows
+    max_rel = _max_rel_gap(zip(chain.from_iterable(repeat(rows[0], len(rows))), chain.from_iterable(rows)))
+    if math.isnan(max_rel):
+        raise DomainError("a curve of the family has a non-finite y value")
     return CurveCollapseReport(
         n_curves=len(family.y_rows),
         max_rel_difference=max_rel,
@@ -344,9 +382,11 @@ def _fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _layout(obj: SurfaceGrid | IsocurveFamily, format: str) -> tuple:
+def _layout(format: str, x_values, labels: tuple[str, str, str] | None, t_values=()) -> tuple:
     """``(head, row pattern, t formatter, separator before each later row, tail)`` of an export.
 
+    The export is that of a surface with axis ``labels`` (x, y, t) or,
+    where ``labels`` is None, of an iso-curve family over ``t_values``.
     A row is the pattern with ``{t}`` set to the formatted t and its
     ``%`` slots to the y row; a pattern without ``{t}`` leaves t out.
     CSV values are ``%.17g`` (the bytes of ``format(y, ".17g")``), which
@@ -355,35 +395,41 @@ def _layout(obj: SurfaceGrid | IsocurveFamily, format: str) -> tuple:
     """
     if format not in ("csv", "json"):
         raise DomainError(f"unsupported export format {format!r}")
-    if not isinstance(obj, (SurfaceGrid, IsocurveFamily)):
-        raise TypeError(f"cannot render {type(obj).__name__} as {format.upper()}")
     if format == "csv":
-        if isinstance(obj, SurfaceGrid):
+        if labels is not None:
             header, line = "x,t,y\n", "{x},{{t}},%.17g\n"
         else:
             header, line = "t,x,y\n", "{{t}},{x},%.17g\n"
-        return header, "".join(line.format(x=_fmt17(x)) for x in obj.x_values), _fmt17, "", ""
-    if isinstance(obj, SurfaceGrid):
-        labels = "".join(
-            f"  {json.dumps(key)}: {json.dumps(getattr(obj, key))},\n"
-            for key in ("x_label", "y_label", "t_label")
+        return header, "".join(line.format(x=_fmt17(x)) for x in x_values), _fmt17, "", ""
+    if labels is not None:
+        keyed = "".join(
+            f"  {json.dumps(key)}: {json.dumps(label)},\n"
+            for key, label in zip(("x_label", "y_label", "t_label"), labels)
         )
-        head = "{\n" + labels + '  "points": [\n'
-        pattern = ",\n".join(f"    [\n      {x!r},\n      {{t}},\n      %r\n    ]" for x in obj.x_values)
+        head = "{\n" + keyed + '  "points": [\n'
+        pattern = ",\n".join(f"    [\n      {x!r},\n      {{t}},\n      %r\n    ]" for x in x_values)
     else:
-        t_list = ",\n".join(f"    {t!r}" for t in obj.t_values)
+        t_list = ",\n".join(f"    {t!r}" for t in t_values)
         head = '{\n  "t_values": [\n' + t_list + '\n  ],\n  "curves": [\n'
-        points = ",\n".join(f"      [\n        {x!r},\n        %r\n      ]" for x in obj.x_values)
+        points = ",\n".join(f"      [\n        {x!r},\n        %r\n      ]" for x in x_values)
         pattern = "    [\n" + points + "\n    ]"
     return head, pattern, repr, ",\n", "\n  ]\n}\n"
 
 
-def _rows_text(layout: tuple, obj: SurfaceGrid | IsocurveFamily, start: int, stop: int) -> Iterator[str]:
-    """Rows ``start`` to ``stop`` of the export, each built when it is read."""
+def _layout_of(obj: SurfaceGrid | IsocurveFamily, format: str) -> tuple:
+    if isinstance(obj, SurfaceGrid):
+        return _layout(format, obj.x_values, (obj.x_label, obj.y_label, obj.t_label))
+    if isinstance(obj, IsocurveFamily):
+        return _layout(format, obj.x_values, None, obj.t_values)
+    raise TypeError(f"cannot render {type(obj).__name__} as {format.upper()}")
+
+
+def _rows_text(layout: tuple, t_values, y_rows, start: int) -> Iterator[str]:
+    """The export's rows of ``t_values`` and ``y_rows``, the first being row ``start``, each built when it is read."""
     _, pattern, t_cell, sep, _ = layout
     later = sep + pattern
-    for j in range(start, stop):
-        yield (later if j else pattern).replace("{t}", t_cell(obj.t_values[j])) % tuple(obj.y_rows[j])
+    for j, (t, ys) in enumerate(zip(t_values, y_rows), start):
+        yield (later if j else pattern).replace("{t}", t_cell(t)) % tuple(ys)
 
 
 def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[str]:
@@ -392,8 +438,15 @@ def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[st
     Each row is rendered when it is read, so a writer that takes the
     chunks as they come holds at most one of them.
     """
-    head, *_, tail = layout = _layout(obj, format)
-    return chain([head], _rows_text(layout, obj, 0, len(obj.t_values)), [tail] if tail else [])
+    head, *_, tail = layout = _layout_of(obj, format)
+    return chain([head], _rows_text(layout, obj.t_values, obj.y_rows, 0), [tail] if tail else [])
+
+
+def _splits(n_rows: int, n_x: int) -> bool:
+    """Whether an export of ``n_rows`` rows of ``n_x`` points is made by two processes."""
+    threading = sys.modules.get("threading")  # never imported: no other Python thread was started
+    return (n_rows >= 2 and n_rows * n_x >= SPLIT_POINTS and hasattr(os, "fork")
+            and (threading is None or threading.active_count() == 1))
 
 
 def write_export(obj: SurfaceGrid | IsocurveFamily, format: str, file: TextIO) -> None:
@@ -402,58 +455,126 @@ def write_export(obj: SurfaceGrid | IsocurveFamily, format: str, file: TextIO) -
     Where ``os.fork`` exists and no other Python thread runs, an export
     of two or more rows and at least ``SPLIT_POINTS`` points is rendered
     by two processes: a forked child renders rows ``[n//2:]`` into an
-    unnamed temporary file while this process writes rows ``[:n//2]``,
-    then copies the child's rows after its own. A child's ``MemoryError``
-    or ``OSError`` is raised here; any other failure raises ``RuntimeError``.
+    unnamed temporary file while this process renders rows ``[:n//2]``,
+    and the child's rows are copied after its own. A child's
+    ``MemoryError`` or ``OSError`` is raised here; any other failure of
+    the child raises ``RuntimeError``.
     """
-    head, *_, tail = layout = _layout(obj, format)
-    n = len(obj.t_values)
-    file.write(head)
-    threading = sys.modules.get("threading")  # never imported: no other Python thread was started
-    if (n >= 2 and n * len(obj.x_values) >= SPLIT_POINTS and hasattr(os, "fork")
-            and (threading is None or threading.active_count() == 1)):
-        _write_split(layout, obj, file, n)
+    head, *_, tail = layout = _layout_of(obj, format)
+    if _splits(len(obj.t_values), len(obj.x_values)):
+        with _forked(layout, obj.t_values, lambda start, stop: obj.y_rows[start:stop]) as write:
+            write(file)
     else:
-        file.writelines(_rows_text(layout, obj, 0, n))
-    file.write(tail)
+        file.writelines(chain([head], _rows_text(layout, obj.t_values, obj.y_rows, 0), [tail]))
 
 
-def _write_split(layout: tuple, obj: SurfaceGrid | IsocurveFamily, file: TextIO, n: int) -> None:
-    import shutil
+@contextmanager
+def split_export(eos, grid: GridSpec, format: str) -> Iterator[Callable[[TextIO], None] | None]:
+    """Sample, audit and render the surface of ``eos`` on ``grid`` in two processes.
+
+    Yields ``write(file)``, which writes the bytes of
+    ``write_export(sample_surface(eos, grid), format, file)``, or None
+    where one process exports the grid: where ``write_export`` would not
+    split it, and where a point lies outside the domain, so that
+    ``sample_surface`` audits the points before it and names the first
+    failing one. Otherwise this process checks the axes and the domain,
+    forks, then samples, audits and renders rows ``[:n//2]`` while a
+    child does rows ``[n//2:]``. It yields only once both halves have
+    passed their audit, and its own error comes first, as its rows do.
+    """
+    xs, ts = grid.x_values(), grid.t_values()
+    if not _splits(len(ts), len(xs)) or _checked_axes(eos, xs, ts)[2] is not None:
+        yield None
+        return
+    layout = _layout(format, xs, eos.axis_labels())
+    with _forked(layout, ts, lambda start, stop: _audited_rows(eos, xs, ts[start:stop])) as write:
+        yield write
+
+
+# What a forked child reports by class name; any other exception in it is a bug.
+_CHILD_ERRORS = {error.__name__: error for error in (DomainError, InvariantError, MemoryError, OSError)}
+
+
+def _report(pipe: BinaryIO, error: BaseException | None = None) -> None:
+    """Write one line to ``pipe``: ``null`` for ok, else ``[class name, message]`` of ``error``."""
+    report = None
+    if error is not None:
+        report = [next(name for name, cls in _CHILD_ERRORS.items() if isinstance(error, cls)), str(error)]
+    pipe.write(json.dumps(report).encode() + b"\n")
+
+
+@contextmanager
+def _forked(layout: tuple, t_values, rows: Callable[[int, int], Sequence]) -> Iterator[Callable[[TextIO], None]]:
+    """Yield the writer of an export whose rows ``[n//2:]`` a forked child makes.
+
+    ``rows(start, stop)`` gives the y rows of t rows ``start`` to
+    ``stop``, sampled and audited or taken from a sampled object. This
+    process takes rows ``[:n//2]`` and then waits for the child, which
+    takes rows ``[n//2:]``, reports, renders them into an unnamed
+    temporary file and reports again. A report is one line on a pipe:
+    ok, or a ``DomainError``, ``InvariantError``, ``MemoryError`` or
+    ``OSError``, raised here; a child that ends without one raises
+    ``RuntimeError``. ``write(file)`` writes the head, this process's
+    rows, the child's rows once they are rendered, and the tail. On the
+    way out, by success or any exception, the child is killed if it
+    still runs, and reaped.
+    """
     import signal
     import tempfile
 
+    n = len(t_values)
     half = n // 2
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spill:
-        file.flush()  # nothing unwritten is copied into the child
+    head, *_, tail = layout
+    read_end, write_end = os.pipe()
+    with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spill,
+          open(read_end, "rb") as reports, open(write_end, "wb", buffering=0) as reporter):
         pid = os.fork()
         if pid == 0:
-            status = 1
+            code = 1
             try:
-                spill.writelines(_rows_text(layout, obj, half, n))
-                spill.flush()
-                status = 0
-            except MemoryError:
-                status = 3
-            except OSError:
-                status = 4
-            finally:  # any other exception is a bug and leaves status 1
-                os._exit(status)
+                try:
+                    y_rows = rows(half, n)
+                    _report(reporter)
+                    spill.writelines(_rows_text(layout, t_values[half:], y_rows, half))
+                    spill.flush()
+                    _report(reporter)
+                except tuple(_CHILD_ERRORS.values()) as exc:
+                    _report(reporter, exc)
+                code = 0
+            finally:  # any other exception is a bug, reported by exit status 1 alone
+                os._exit(code)
+        reporter.close()  # the child's copy is the last write end: it reads as closed once the child ends
+        status = None  # the child's exit status, once it is reaped
+
+        def check() -> None:
+            """Raise the error the child reports next, if it reports one."""
+            nonlocal status
+            line = reports.readline()
+            if not line:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"the child exporting rows {half} to {n} exited {status}")
+            report = json.loads(line)
+            if report is not None:
+                kind, message = report
+                if kind == "OSError":
+                    message = f"rendering rows {half} to {n} of the export into a temporary file failed"
+                raise _CHILD_ERRORS[kind](message)
+
+        def spilled() -> Iterator[str]:
+            check()
+            spill.seek(0)
+            yield from iter(lambda: spill.read(1 << 16), "")
+
         try:
-            file.writelines(_rows_text(layout, obj, 0, half))
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if status == 3:
-            raise MemoryError
-        if status == 4:
-            raise OSError(f"rendering rows {half} to {n} of the export into a temporary file failed")
-        if status != 0:
-            raise RuntimeError(f"the child rendering rows {half} to {n} of the export exited {status}")
-        spill.seek(0)
-        shutil.copyfileobj(spill, file)
+            own = rows(0, half)
+            check()
+            yield lambda file: file.writelines(
+                chain([head], _rows_text(layout, t_values[:half], own, 0), spilled(), [tail])
+            )
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:

@@ -24,15 +24,21 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def failing_child(monkeypatch):
-    """``arm(error)`` makes a split export's forked child raise ``error`` where it would render its rows."""
-    rows_text = surface_module._rows_text
+    """``arm(error, stage)`` makes a split export's forked child raise ``error`` at ``stage``.
 
-    def arm(error):
-        def failing_after_the_first_half(layout, obj, start, stop):
-            if start:
+    The stage is where the child samples and audits its rows (``"_audited_rows"``) or where it
+    renders them (``"_rows_text"``); this process runs the stage as before.
+    """
+    parent = os.getpid()
+
+    def arm(error, stage="_rows_text"):
+        original = getattr(surface_module, stage)
+
+        def failing_in_the_child(*args):
+            if os.getpid() != parent:
                 raise error
-            return rows_text(layout, obj, start, stop)
+            return original(*args)
 
-        monkeypatch.setattr(surface_module, "_rows_text", failing_after_the_first_half)
+        monkeypatch.setattr(surface_module, stage, failing_in_the_child)
 
     return arm

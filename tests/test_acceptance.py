@@ -1,4 +1,4 @@
-"""Acceptance gate: eight criteria, each printing one PASS/FAIL line.
+"""Acceptance gate: eight criteria, each printing one PASS/FAIL line, and a property test that extends C1.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines. Every
 criterion is evaluated first, its verdict printed, and only then
@@ -7,12 +7,17 @@ criterion. Randomness is seeded; counts and tolerances are fixed.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from market_eos import (
+    DomainError,
     IdealGasEoS,
     LinearDemand,
     LinearSupply,
@@ -241,3 +246,22 @@ def test_c8_finite_difference_slope_audit():
             ok = False
             break
     report(8, "slope vs central difference 1e-6 rel (100 per family)", ok, time.perf_counter() - start, 1.0)
+
+
+every_positive_double = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(k_s=every_positive_double, pr=every_positive_double)
+@example(k_s=1.0, pr=1e160)  # pr * pr overflows
+@example(k_s=1.0, pr=1e-170)  # pr * pr underflows to zero
+def test_unitary_elasticity_is_minus_one_over_every_positive_double(k_s, pr):
+    # C1 draws from [1e-6, 1e3]; the paper's -1 holds at every price where the quantity is a nonzero double
+    demand = UnitaryDemand(k_s=k_s)
+    q = k_s / pr
+    if q == 0.0 or math.isinf(q):
+        with pytest.raises(DomainError):
+            point_elasticity(demand, pr)
+    else:
+        assert math.copysign(1.0, point_elasticity(demand, pr)) == -1.0
+        assert point_elasticity(demand, pr) == -1.0
+    assert demand.slope(pr) <= 0.0

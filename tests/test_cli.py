@@ -13,8 +13,10 @@ import pytest
 
 from market_eos import (
     CurieParamagnetEoS,
+    DomainError,
     GridSpec,
     IdealGasEoS,
+    InvariantError,
     cli,
     derive_unitary_eos,
     isocurves,
@@ -373,8 +375,9 @@ def test_surface_grid_too_large_for_memory_exits_3(tmp_path):
     # a child process, so the address-space cap applies to it alone
     import resource
 
-    # the largest grid the point limit allows; its y rows alone need more than the cap
-    limit = 150 * 1024 * 1024
+    # the largest grid the point limit allows; each of the two processes that sample it holds half its
+    # y rows, 64 MB as tuples of floats, which alone fill the cap (at 150 MB one process held them all)
+    limit = 64 * 1024 * 1024
     path = tmp_path / "huge_grid.json"
     path.write_text(json.dumps(dict(CONFIG, grid=dict(CONFIG["grid"], nx=2000, nt=2000))), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -467,6 +470,90 @@ def test_any_other_failure_of_an_export_child_is_a_bug(split_config, forks, fail
     assert len(forks) == 1
 
 
+def grid_options(grid: dict) -> list[str]:
+    return [f"--{key.replace('_', '-')}={value!r}" for key, value in grid.items()]
+
+
+def one_process_error(eos, grid: dict) -> str:
+    """The stderr of the grid's first failing point, as ``sample_surface`` in one process reports it."""
+    with pytest.raises((DomainError, InvariantError)) as caught:
+        sample_surface(eos, GridSpec(**grid))
+    return f"error: {caught.value}\n"
+
+
+# 2**16 gas points whose pressure overflows at the smallest volume from row 192 on, in the forked child's half
+# (rows 128 to 255); at a smaller volume it overflows from row 49 on, in both halves
+CHILD_HALF_FAILS = dict(x_min=8.1e-08, x_max=1.0, nx=256, t_min=1e300, t_max=2e300, nt=256)
+BOTH_HALVES_FAIL = dict(CHILD_HALF_FAILS, x_min=5.5e-08)
+
+
+@needs_fork
+@pytest.mark.parametrize("to_file", [True, False])
+@pytest.mark.parametrize("grid, first_failing_row", [(CHILD_HALF_FAILS, 192), (BOTH_HALVES_FAIL, 49)])
+def test_an_audit_failure_in_either_half_exits_3_as_in_one_process(config_path, tmp_path, capsys, forks, grid,
+                                                                   first_failing_row, to_file):
+    out_file = tmp_path / "export.csv"
+    argv = ["surface", "--config", config_path, "gas", *grid_options(grid)] + (["--out", str(out_file)] * to_file)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", one_process_error(IdealGasEoS(n=1.0, R=8.314), grid))
+    t = GridSpec(**grid).t_values()[first_failing_row]
+    assert err == f"error: grid point (x={grid['x_min']}, t={t}) gives non-finite y=inf\n"
+    assert not out_file.exists()
+    assert len(forks) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "out of memory (grid or input too large)"),
+    (InvariantError("emitted point fails its residual audit"), "emitted point fails its residual audit"),
+    (DomainError("grid point underflows"), "grid point underflows"),
+])
+def test_a_child_that_fails_while_sampling_exits_3_and_writes_nothing(split_config, tmp_path, capsys, forks,
+                                                                      failing_child, error, message):
+    failing_child(error, "_audited_rows")
+    out_file = tmp_path / "export.csv"
+    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--out", str(out_file))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert not out_file.exists()
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_a_bug_in_a_sampling_child_is_a_runtime_error(split_config, forks, failing_child):
+    failing_child(ValueError("a bug"), "_audited_rows")
+    with pytest.raises(RuntimeError, match="exited 1$"):
+        cli.main(["surface", "--config", split_config, "gas"])
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_an_out_path_that_cannot_be_opened_exits_4_with_the_child_reaped(split_config, tmp_path, capsys, forks):
+    out_file = tmp_path / "missing" / "export.csv"
+    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--out", str(out_file))
+    assert (code, out) == (4, "")
+    assert one_error_line(err) and "No such file or directory" in err
+    assert len(forks) == 1  # and reaped, which the fixture checks
+    assert not out_file.parent.exists()
+
+
+# The credit market's surface (K = 1) over a Q_s axis whose point 100, -4.97342764e-316, is subnormal: K*x leaves
+# the domain there. At prices from 1e10 the demand at the first point, -1e-310, underflows before it.
+SUBNORMAL_X = dict(x_min=-1e-300, x_max=1.5499999999999985e-300, nx=256, t_min=1.0, t_max=2.0, nt=256)
+
+
+@pytest.mark.parametrize("grid, first_failing", [
+    (SUBNORMAL_X, "(x=-4.97342764e-316, t=1.0) outside the surface domain"),
+    (dict(SUBNORMAL_X, t_min=1e10, t_max=2e10), "(x=-1e-300, t=10000000000.0) underflows"),
+])
+def test_a_split_sized_grid_outside_the_domain_names_its_first_failing_point(config_path, capsys, forks, grid,
+                                                                              first_failing):
+    code, out, err = run(capsys, "surface", "--config", config_path, "credit", *grid_options(grid))
+    eos = derive_unitary_eos(load_config(config_path).markets["credit"])
+    assert (code, out, err) == (3, "", one_process_error(eos, grid))
+    assert f"error: grid point {first_failing}" in err
+    assert forks == []  # one process samples a grid with a point outside the domain
+
+
 def processes_naming(text: str) -> list[str]:
     """Process ids whose command line contains ``text``."""
     found = []
@@ -488,7 +575,7 @@ def test_split_export_to_a_reader_that_closes_early_exits_0_and_leaves_no_proces
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "market_eos.cli", "surface", "--config", str(path), "gas"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"x,t,y\n"  # the head is flushed before the fork
+        assert proc.stdout.readline() == b"x,t,y\n"  # written once both halves have passed their audit
         proc.stdout.close()
         code = proc.wait(timeout=60)
         # a child left running would still render its rows now, with the same command line

@@ -140,6 +140,23 @@ def test_gas_isotherms_do_not_collapse():
     assert family_collapse(family).collapse is False
 
 
+@pytest.mark.parametrize("rows", [
+    ((1.0, 2.0), (math.nan, math.inf)),  # once read as max_rel_difference=0.0, collapse=True
+    ((1.0, math.inf), (1.0, math.inf)),
+    ((math.nan, 2.0), (1.0, 2.0)),
+    ((1.0, -math.inf),),  # one curve, compared with itself
+])
+def test_family_collapse_rejects_a_non_finite_value(rows):
+    family = IsocurveFamily((1.0, 2.0), tuple(1.0 + j for j in range(len(rows))), rows)
+    with pytest.raises(DomainError, match="non-finite"):
+        family_collapse(family)
+
+
+def test_family_collapse_of_one_finite_curve_is_a_collapse():
+    verdict = family_collapse(IsocurveFamily((1.0, 2.0), (1.0,), ((3.0, 4.0),)))
+    assert (verdict.n_curves, verdict.max_rel_difference, verdict.collapse) == (1, 0.0, True)
+
+
 def test_isoprice_check_rejects_linear_and_empty():
     from market_eos import LinearDemand
 
@@ -228,6 +245,28 @@ def test_small_exports_are_written_by_one_process(monkeypatch):
     out = io.StringIO()
     write_export(grid, "json", out)  # 65 535 points, one short of 2**16
     assert out.getvalue() == render_json(grid)
+
+
+def test_split_export_leaves_a_small_grid_no_fork_or_a_running_thread_to_one_process(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked where one process exports the grid"))
+    split_sized = GridSpec(x_min=1.0, x_max=2.0, nx=256, t_min=1.0, t_max=2.0, nt=256)
+    with surface_module.split_export(UNIT_EOS, GridSpec(1.0, 2.0, 255, 1.0, 2.0, 257), "csv") as write:
+        assert write is None  # 65 535 points, one short of 2**16
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        with surface_module.split_export(UNIT_EOS, split_sized, "csv") as write:
+            assert write is None
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    monkeypatch.delattr(os, "fork")
+    with surface_module.split_export(UNIT_EOS, split_sized, "csv") as write:
+        assert write is None
 
 
 @needs_fork
