@@ -34,7 +34,8 @@ and ``write_export`` writes them as they come, a forked child rendering
 the second half of a large export's rows. ``split_export`` forks before
 sampling instead: each process samples, audits and renders its half of
 a large surface's rows, and nothing is written until both halves have
-passed their audit. Only the sampled grid, half of it in each process
+passed their audit. Both split through ``market_eos.split``, which only
+a split imports. Only the sampled grid, half of it in each process
 of a split, and a row are held: a 2000 x 2000 gas export peaks near
 92 MB (peak RSS, 2-vCPU VM, Python 3.11), 168 MB when one process held
 the whole grid, where the whole text took 602-846 MB.
@@ -46,10 +47,10 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from itertools import chain, repeat
-from typing import BinaryIO, TextIO
+from typing import TextIO
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
@@ -462,7 +463,9 @@ def write_export(obj: SurfaceGrid | IsocurveFamily, format: str, file: TextIO) -
     """
     head, *_, tail = layout = _layout_of(obj, format)
     if _splits(len(obj.t_values), len(obj.x_values)):
-        with _forked(layout, obj.t_values, lambda start, stop: obj.y_rows[start:stop]) as write:
+        from .split import forked
+
+        with forked(layout, obj.t_values, lambda start, stop: obj.y_rows[start:stop]) as write:
             write(file)
     else:
         file.writelines(chain([head], _rows_text(layout, obj.t_values, obj.y_rows, 0), [tail]))
@@ -486,95 +489,11 @@ def split_export(eos, grid: GridSpec, format: str) -> Iterator[Callable[[TextIO]
     if not _splits(len(ts), len(xs)) or _checked_axes(eos, xs, ts)[2] is not None:
         yield None
         return
+    from .split import forked
+
     layout = _layout(format, xs, eos.axis_labels())
-    with _forked(layout, ts, lambda start, stop: _audited_rows(eos, xs, ts[start:stop])) as write:
+    with forked(layout, ts, lambda start, stop: _audited_rows(eos, xs, ts[start:stop])) as write:
         yield write
-
-
-# What a forked child reports by class name; any other exception in it is a bug.
-_CHILD_ERRORS = {error.__name__: error for error in (DomainError, InvariantError, MemoryError, OSError)}
-
-
-def _report(pipe: BinaryIO, error: BaseException | None = None) -> None:
-    """Write one line to ``pipe``: ``null`` for ok, else ``[class name, message]`` of ``error``."""
-    report = None
-    if error is not None:
-        report = [next(name for name, cls in _CHILD_ERRORS.items() if isinstance(error, cls)), str(error)]
-    pipe.write(json.dumps(report).encode() + b"\n")
-
-
-@contextmanager
-def _forked(layout: tuple, t_values, rows: Callable[[int, int], Sequence]) -> Iterator[Callable[[TextIO], None]]:
-    """Yield the writer of an export whose rows ``[n//2:]`` a forked child makes.
-
-    ``rows(start, stop)`` gives the y rows of t rows ``start`` to
-    ``stop``, sampled and audited or taken from a sampled object. This
-    process takes rows ``[:n//2]`` and then waits for the child, which
-    takes rows ``[n//2:]``, reports, renders them into an unnamed
-    temporary file and reports again. A report is one line on a pipe:
-    ok, or a ``DomainError``, ``InvariantError``, ``MemoryError`` or
-    ``OSError``, raised here; a child that ends without one raises
-    ``RuntimeError``. ``write(file)`` writes the head, this process's
-    rows, the child's rows once they are rendered, and the tail. On the
-    way out, by success or any exception, the child is killed if it
-    still runs, and reaped.
-    """
-    import signal
-    import tempfile
-
-    n = len(t_values)
-    half = n // 2
-    head, *_, tail = layout
-    read_end, write_end = os.pipe()
-    with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spill,
-          open(read_end, "rb") as reports, open(write_end, "wb", buffering=0) as reporter):
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                try:
-                    y_rows = rows(half, n)
-                    _report(reporter)
-                    spill.writelines(_rows_text(layout, t_values[half:], y_rows, half))
-                    spill.flush()
-                    _report(reporter)
-                except tuple(_CHILD_ERRORS.values()) as exc:
-                    _report(reporter, exc)
-                code = 0
-            finally:  # any other exception is a bug, reported by exit status 1 alone
-                os._exit(code)
-        reporter.close()  # the child's copy is the last write end: it reads as closed once the child ends
-        status = None  # the child's exit status, once it is reaped
-
-        def check() -> None:
-            """Raise the error the child reports next, if it reports one."""
-            nonlocal status
-            line = reports.readline()
-            if not line:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"the child exporting rows {half} to {n} exited {status}")
-            report = json.loads(line)
-            if report is not None:
-                kind, message = report
-                if kind == "OSError":
-                    message = f"rendering rows {half} to {n} of the export into a temporary file failed"
-                raise _CHILD_ERRORS[kind](message)
-
-        def spilled() -> Iterator[str]:
-            check()
-            spill.seek(0)
-            yield from iter(lambda: spill.read(1 << 16), "")
-
-        try:
-            own = rows(0, half)
-            check()
-            yield lambda file: file.writelines(
-                chain([head], _rows_text(layout, t_values[:half], own, 0), spilled(), [tail])
-            )
-        finally:
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:

@@ -121,10 +121,11 @@ def test_cli_start_up_imports_no_code_introspection_modules():
 
 def test_cli_start_up_without_site_imports_none_of_the_split_export_modules():
     # -S: a site .pth file may import these modules at start-up, which would hide an import by the package;
-    # only an export large enough for two processes needs tempfile (which imports shutil) and signal
+    # only an export large enough for two processes needs market_eos.split, tempfile (which imports shutil)
+    # and signal
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import market_eos.cli, sys; "
-             "print(sorted({'tempfile', 'shutil', 'signal', 'threading'} & set(sys.modules)))")
+    split = {"market_eos.split", "tempfile", "shutil", "signal", "threading"}
+    probe = f"import market_eos.cli, sys; print(sorted({split!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
