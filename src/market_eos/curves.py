@@ -29,16 +29,6 @@ def classify_elasticity(value: float) -> str:
     return "elastic" if abs(value) > 1.0 else "inelastic"
 
 
-def _require_nonnegative_price(pr: float) -> None:
-    if pr < 0:
-        raise DomainError(f"price must be nonnegative, got {pr}")
-
-
-def _require_positive_price(pr: float) -> None:
-    if pr <= 0:
-        raise DomainError(f"price must be positive, got {pr}")
-
-
 class LinearDemand(Record):
     """Demand linear in price: quantity = k_s * pr + q_d0.
 
@@ -64,12 +54,14 @@ class LinearDemand(Record):
         clamping would corrupt the sign structure the equilibrium
         root-finder relies on.
         """
-        _require_nonnegative_price(pr)
+        if pr < 0:
+            raise DomainError(f"price must be nonnegative, got {pr}")
         return self.k_s * pr + self.q_d0
 
     def slope(self, pr: float) -> float:
         """Constant slope k_s; ``pr`` is accepted for interface symmetry."""
-        _require_nonnegative_price(pr)
+        if pr < 0:
+            raise DomainError(f"price must be nonnegative, got {pr}")
         return self.k_s
 
 
@@ -84,11 +76,13 @@ class LinearSupply(Record):
         set_field(self, "k_d", k_d)
 
     def quantity(self, pr: float) -> float:
-        _require_nonnegative_price(pr)
+        if pr < 0:
+            raise DomainError(f"price must be nonnegative, got {pr}")
         return self.k_d * pr
 
     def slope(self, pr: float) -> float:
-        _require_nonnegative_price(pr)
+        if pr < 0:
+            raise DomainError(f"price must be nonnegative, got {pr}")
         return self.k_d
 
 
@@ -108,12 +102,14 @@ class UnitaryDemand(Record):
         set_field(self, "k_s", k_s)
 
     def quantity(self, pr: float) -> float:
-        _require_positive_price(pr)
+        if pr <= 0:
+            raise DomainError(f"price must be positive, got {pr}")
         return self.k_s / pr
 
     def slope(self, pr: float) -> float:
         """d(quantity)/d(price) = -k_s / pr**2, divided by pr twice: ``pr * pr`` overflows or underflows."""
-        _require_positive_price(pr)
+        if pr <= 0:
+            raise DomainError(f"price must be positive, got {pr}")
         return -(self.k_s / pr) / pr
 
 
@@ -123,7 +119,8 @@ def point_elasticity(curve: LinearDemand | UnitaryDemand | LinearSupply, pr0: fl
     Requires pr0 > 0, a nonzero quantity at pr0 and a finite quotient;
     :func:`classify_elasticity` names its elastic/unitary/inelastic band.
     """
-    _require_positive_price(pr0)
+    if pr0 <= 0:
+        raise DomainError(f"price must be positive, got {pr0}")
     q0 = curve.quantity(pr0)
     if q0 == 0.0:
         raise DomainError(f"elasticity undefined at zero quantity (pr0={pr0})")

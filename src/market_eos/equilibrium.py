@@ -65,8 +65,9 @@ def excess_demand(market: MarketSpec, pr: float) -> float:
     Unitary demand scales with the household count under the
     per-household interpretation; linear demand is already aggregate.
     """
-    q = market.demand.quantity(pr)
-    if isinstance(market.demand, UnitaryDemand) and market.interpretation == PER_HOUSEHOLD:
+    demand = market.demand
+    q = demand.quantity(pr)
+    if isinstance(demand, UnitaryDemand) and market.interpretation == PER_HOUSEHOLD:
         q = market.households * q
     return q - market.supply.quantity(pr)
 
@@ -144,13 +145,15 @@ def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
     price is not a positive double, or at the first price where demand
     and supply both overflow, so that their difference is NaN.
     """
+    # bound once per call, not per read, and looked up at call time, so a patched excess_demand sees every read
+    read, sqrt = excess_demand, math.sqrt
     lo, f_lo, hi, f_hi = auto_bracket(market)
     while f_lo != 0.0 and f_hi != 0.0:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + 0.5 * (hi - lo)
+        mid = sqrt(lo) * sqrt(hi) if hi > 2.0 * lo else lo + 0.5 * (hi - lo)
         if not lo < mid < hi:
             break
-        f_mid = excess_demand(market, mid)
-        if math.isnan(f_mid):  # NaN > 0.0 is False, so it would steer the search as a negative value
+        f_mid = read(market, mid)
+        if f_mid != f_mid:  # NaN; NaN > 0.0 is False, so it would steer the search as a negative value
             raise BracketingError(f"excess demand at {mid} is NaN: demand and supply both overflow there")
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid

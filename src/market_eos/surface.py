@@ -289,11 +289,15 @@ def isocurves(
 def _max_rel_gap(pairs) -> float:
     """Largest ``|a - b| / max(|a|, |b|, 1e-300)`` over the pairs ``(a, b)``, 0.0 for none.
 
-    NaN as soon as a value is NaN or infinite, whose gap is NaN.
+    NaN as soon as a value is NaN or infinite, whose gap is NaN. Where
+    ``a - b`` overflows, both values are halved first, which is exact at
+    that size, so two finite values give a finite gap of at most 2.
     """
     max_rel = 0.0
     for a, b in pairs:
         gap = abs(a - b) / max(abs(a), abs(b), 1.0e-300)
+        if gap == math.inf:
+            gap = abs(0.5 * a - 0.5 * b) / max(0.5 * abs(a), 0.5 * abs(b))
         if gap != gap:
             return gap
         if gap > max_rel:

@@ -195,15 +195,19 @@ def test_analytic_unitary_price_is_the_direct_formula_wherever_its_quotient_is_n
         assert abs(Decimal(price) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
-@given(k_s=positive_doubles, q_d0=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=10**9),
-       linear=st.booleans(), agg=st.booleans())
-def test_bisection_reads_excess_demand_at_most_66_times_over_all_positive_doubles(k_s, q_d0, k_d, n, linear, agg):
-    market = MarketSpec(
+def _market_over_all_doubles(k_s, q_d0, k_d, n, linear, agg):
+    return MarketSpec(
         demand=LinearDemand(k_s=-k_s, q_d0=q_d0) if linear else UnitaryDemand(k_s=k_s),
         supply=LinearSupply(k_d=k_d),
         households=n,
         interpretation="aggregate" if agg else "per-household",
     )
+
+
+@given(k_s=positive_doubles, q_d0=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=10**9),
+       linear=st.booleans(), agg=st.booleans())
+def test_bisection_reads_excess_demand_at_most_66_times_over_all_positive_doubles(k_s, q_d0, k_d, n, linear, agg):
+    market = _market_over_all_doubles(k_s, q_d0, k_d, n, linear, agg)
     calls = []
 
     def counted(spec, pr):
@@ -219,6 +223,47 @@ def test_bisection_reads_excess_demand_at_most_66_times_over_all_positive_double
             pass
     assert 2 <= len(calls) <= 66
     assert len(set(calls)) == len(calls)
+
+
+@given(k_s=positive_doubles, q_d0=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=2**1000),
+       linear=st.booleans(), agg=st.booleans(), pr=positive_doubles)
+def test_excess_demand_never_increases_from_one_positive_double_to_the_next(k_s, q_d0, k_d, n, linear, agg, pr):
+    # each step of excess demand is a correctly rounded, monotone operation, so the computed sign changes
+    # once at most and the bisection's final bracket is unique; NaN, where demand and supply both
+    # overflow, is no reading
+    market = _market_over_all_doubles(k_s, q_d0, k_d, n, linear, agg)
+    prices = [pr]
+    try:  # the clearing price is where the order matters most
+        prices.append(clearing_price_analytic(market).clearing_price)
+    except DomainError:
+        pass
+    for p in prices:
+        if p == sys.float_info.max:
+            continue
+        here, there = excess_demand(market, p), excess_demand(market, math.nextafter(p, math.inf))
+        if not (math.isnan(here) or math.isnan(there)):
+            assert here >= there
+
+
+@given(k_s=positive_doubles, q_d0=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=2**1000),
+       linear=st.booleans(), agg=st.booleans())
+def test_bisection_stops_at_a_zero_or_beside_a_sign_change_over_all_positive_doubles(k_s, q_d0, k_d, n, linear, agg):
+    # the stopping contract, whatever midpoints are chosen: the returned price reads an exact zero, or
+    # an adjacent double reads the opposite sign and at least the same magnitude
+    market = _market_over_all_doubles(k_s, q_d0, k_d, n, linear, agg)
+    try:
+        point = clearing_price_numeric(market)
+    except BracketingError:
+        return
+    p = point.clearing_price
+    f_p = excess_demand(market, p)
+    assert point.residual == abs(f_p)
+    if f_p != 0.0:
+        neighbours = [q for q in (math.nextafter(p, 0.0), math.nextafter(p, math.inf)) if 0.0 < q < math.inf]
+        assert any(
+            f_q != 0.0 and (f_q > 0.0) != (f_p > 0.0) and abs(f_p) <= abs(f_q)
+            for f_q in (excess_demand(market, q) for q in neighbours)
+        )
 
 
 def test_bisection_lands_far_from_the_closed_form_where_a_coefficient_is_subnormal():

@@ -157,6 +157,12 @@ def test_family_collapse_of_one_finite_curve_is_a_collapse():
     assert (verdict.n_curves, verdict.max_rel_difference, verdict.collapse) == (1, 0.0, True)
 
 
+def test_family_collapse_of_finite_curves_whose_difference_overflows_reads_the_relative_gap():
+    # 1.7e308 - (-1.7e308) overflows; the gap relative to 1.7e308 is 2, not inf
+    verdict = family_collapse(IsocurveFamily((1.0,), (1.0, 2.0), ((1.7e308,), (-1.7e308,))))
+    assert (verdict.n_curves, verdict.max_rel_difference, verdict.collapse) == (2, 2.0, False)
+
+
 def test_isoprice_check_rejects_linear_and_empty():
     from market_eos import LinearDemand
 
