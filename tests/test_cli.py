@@ -824,6 +824,19 @@ def test_zeroth_ticks_beyond_int64(tmp_path, capsys):
     assert "class price=10000000000: big" in out
 
 
+def test_zeroth_ranks_a_market_whose_clearing_quantity_overflows(tmp_path, capsys):
+    # Pr* = sqrt(1e6 * 1e308 / 1e308) = 1000, where Q* = 1e308 * 1000 is inf and the residual inf - inf is NaN;
+    # the ranking reads the closed-form price alone, while solve's bisection stops at the NaN
+    flood = {"name": "flood", "family": "unitary", "k_s": 1e308, "k_d": 1e308, "households": 1_000_000}
+    code, out, _ = zeroth_on(tmp_path, capsys, markets=[flood])
+    assert code == 0
+    assert out.splitlines()[1] == "flood 1000"
+    code, out, err = run(capsys, "solve", "--config", str(tmp_path / "zeroth.json"), "flood")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: excess demand at ")
+    assert err.endswith(" is NaN: demand and supply both overflow there\n")
+
+
 def test_zeroth_infinite_clearing_price_exits_3(tmp_path, capsys):
     # finite coefficients whose clearing price sqrt(1e308 / 1e-308) overflows
     huge = {"name": "huge", "family": "unitary", "k_s": 1e308, "k_d": 1e-308}

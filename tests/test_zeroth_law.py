@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from market_eos import (
     rank_markets,
     verify_equivalence_laws,
 )
+from market_eos.equilibrium import AGGREGATE, PER_HOUSEHOLD
 
 # clearing prices: A = 2, B = 2, C = 2 (cross-family), D = 4
 MARKET_A = MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=10.0), supply=LinearSupply(k_d=3.0))
@@ -128,6 +130,60 @@ def test_laws_hold_for_random_registries(markets, quantum):
     assert sorted(names) == sorted(named)
     prices = [price for price, _ in classes]
     assert prices == sorted(set(prices))
+
+
+positive_doubles = st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max)
+
+# every positive double as a coefficient, N up to DBL_MAX, both families and both readings
+wide_market_strategy = st.one_of(
+    st.builds(
+        MarketSpec,
+        demand=st.builds(LinearDemand, k_s=positive_doubles.map(lambda k: -k), q_d0=positive_doubles),
+        supply=st.builds(LinearSupply, k_d=positive_doubles),
+        interpretation=st.sampled_from([PER_HOUSEHOLD, AGGREGATE]),
+    ),
+    st.builds(
+        MarketSpec,
+        demand=st.builds(UnitaryDemand, k_s=positive_doubles),
+        supply=st.builds(LinearSupply, k_d=positive_doubles),
+        households=st.integers(min_value=1, max_value=1000)
+        | st.floats(min_value=1.0, max_value=sys.float_info.max).map(int),
+        interpretation=st.sampled_from([PER_HOUSEHOLD, AGGREGATE]),
+    ),
+)
+
+
+def reference_ticks(markets, quantum):
+    """Each market's tick as the ranking once composed it: the whole analytic point, then its price quantized.
+
+    Returns the ticks by name, or the first error with the market named
+    as the ranking names it.
+    """
+    ticks = {}
+    for name, market in markets.items():
+        try:
+            ticks[name] = quantize(clearing_price_analytic(market).clearing_price, quantum)
+        except DomainError as exc:
+            return type(exc)(f"market {name!r}: {exc}")
+    return ticks
+
+
+@settings(max_examples=300, deadline=None)
+@given(markets=st.lists(wide_market_strategy, min_size=1, max_size=8),
+       quantum=st.sampled_from([5e-324, 1e-9, 1.0, 1e300]) | positive_doubles)
+def test_classes_match_the_quantized_analytic_point_over_all_positive_doubles(markets, quantum):
+    named = {f"m{i}": m for i, m in enumerate(markets)}
+    expected = reference_ticks(named, quantum)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            verify_equivalence_laws(named, quantum)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
+        return
+    ticks = sorted(set(expected.values()))
+    assert verify_equivalence_laws(named, quantum) == tuple(
+        (tick * quantum, tuple(sorted(name for name in named if expected[name] == tick))) for tick in ticks
+    )
 
 
 def brute_force_relation(markets, quantum):
