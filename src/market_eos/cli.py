@@ -15,8 +15,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
-from functools import partial
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -29,9 +28,9 @@ from .surface import (
     family_collapse,
     isocurves,
     isoprice_collapse_check,
+    render_chunks,
     sample_surface,
     split_export,
-    write_export,
 )
 # render_csv and render_json are not called here; perfbench's tracer wraps them as cli.render_*
 from .surface import render_csv, render_json  # noqa: F401
@@ -57,19 +56,15 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _emit(write: Callable, out: str | None) -> None:
-    """Call ``write(file)`` with stdout, or with the file ``out`` opened for writing and then name it."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text ``chunks`` to stdout, or to the file ``out`` opened for writing and then name it."""
     if out is None:
-        write(sys.stdout)
+        sys.stdout.writelines(chunks)
     else:
         out_path = Path(out)  # a relative path names a file in the working directory
         with open(out_path, "w", encoding="utf-8") as file:
-            write(file)
+            file.writelines(chunks)
         print(f"wrote {out_path}")
-
-
-def _write_json(doc: dict, file) -> None:
-    file.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _resolve_surface_eos(cfg: ConfigDocument, name: str):
@@ -129,13 +124,13 @@ def cmd_solve(args, cfg: ConfigDocument) -> int:
 
 def cmd_consistency(args, cfg: ConfigDocument) -> int:
     report = check_linear_consistency(cfg.market(args.market))
-    _emit(partial(_write_json, report.to_dict()), args.out)
+    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     return 0
 
 
 def cmd_eos(args, cfg: ConfigDocument) -> int:
     eos = derive_unitary_eos(cfg.market(args.market))
-    _emit(partial(_write_json, eos.to_dict()), args.out)
+    _emit([json.dumps(eos.to_dict(), indent=2) + "\n"], args.out)
     print(f"K={_fmt(eos.K)} amplification={_fmt(1.0 / eos.K)} (D/mu0 analogue)")
     return 0
 
@@ -143,9 +138,9 @@ def cmd_eos(args, cfg: ConfigDocument) -> int:
 def cmd_surface(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     grid = _resolve_grid(args, cfg)
-    with split_export(eos, grid, args.format) as write:
+    with split_export(eos, grid, args.format) as chunks:
         # None where one process samples, audits and writes the whole grid
-        _emit(write or partial(write_export, sample_surface(eos, grid), args.format), args.out)
+        _emit(chunks or render_chunks(sample_surface(eos, grid), args.format), args.out)
     return 0
 
 
@@ -155,7 +150,7 @@ def cmd_isocurves(args, cfg: ConfigDocument) -> int:
     x_lo, x_hi = _grid_value(args, cfg, "x_min", "x_min"), _grid_value(args, cfg, "x_max", "x_max")
     n_points = _grid_value(args, cfg, "points", "nx")
     family = isocurves(eos, t_values, (x_lo, x_hi), n_points)
-    _emit(partial(write_export, family, args.format), args.out)
+    _emit(render_chunks(family, args.format), args.out)
     verdict = family_collapse(family)
     print(f"curves={verdict.n_curves} collapse={str(verdict.collapse).lower()}")
     return 0
@@ -166,7 +161,7 @@ def cmd_collapse(args, cfg: ConfigDocument) -> int:
     prices = _parse_float_list(args.prices, "prices")
     report = isoprice_collapse_check(market, prices)
     if args.out is not None:
-        _emit(partial(_write_json, report.to_dict()), args.out)
+        _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     print(
         f"collapse={str(report.collapse).lower()} slope=1/{market.households} "
         f"max_rel_deviation={_fmt(report.max_rel_deviation)}"
@@ -175,11 +170,9 @@ def cmd_collapse(args, cfg: ConfigDocument) -> int:
 
 
 def cmd_zeroth(args, cfg: ConfigDocument) -> int:
-    # header first, so a market that fails to solve leaves only the header on stdout
-    print("market quantized_price")
-    # the rest is written at once, each class price formatted once
+    # written at once, so a market that fails to solve leaves stdout empty; each class price formatted once
     classes = [(_fmt(price), members) for price, members in verify_equivalence_laws(cfg.markets, cfg.quantum)]
-    report = [f"{name} {price}\n" for price, members in classes for name in members]
+    report = ["market quantized_price\n", *(f"{name} {price}\n" for price, members in classes for name in members)]
     # the relation is a partition by integer tick, so the three laws hold for every registry
     report.append("laws: reflexive=pass symmetric=pass transitive=pass\n")
     for price, members in classes:

@@ -151,8 +151,9 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     """Constraint-surface constant K for a unitary market.
 
     K = sqrt(k_s / (k_d * N)), rescaled as the clearing price is where
-    the quotient or ``k_d * N`` is not a normal double. A subnormal K
-    raises ``DomainError``. Construction self-checks the derived
+    the quotient or ``k_d * N`` is not a normal double. A K below the
+    smallest normal double, subnormal or rounded to zero, raises
+    ``DomainError``. Construction self-checks the derived
     identity K == clearing price / N before returning. A market without
     unitary demand, or read in aggregate, raises ``DomainError``.
     """
@@ -169,7 +170,9 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     k_s, k_d, n = market.demand.k_s, market.supply.k_d, market.households
     supply_n = k_d * n
     # a subnormal k_d*N has lost bits already: an infinite quotient sends the root down the rescale path
-    k = _hoisted("K", _sqrt_quotient(k_s / supply_n if supply_n >= _DBL_MIN else math.inf, k_s, k_d, n, -1))
+    k = _sqrt_quotient(k_s / supply_n if supply_n >= _DBL_MIN else math.inf, k_s, k_d, n, -1)
+    if k < _DBL_MIN:  # subnormal, or rounded to zero: the identity check below would pass at 0 <= 0
+        raise DomainError(f"K = {k!r} is below the smallest normal double")
     pr_star = clearing_price_analytic(market).clearing_price
     if not (abs(k - pr_star / n) <= EOS_SELF_CHECK_REL * (pr_star / n)):
         raise InvariantError(

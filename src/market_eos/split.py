@@ -1,7 +1,7 @@
-"""Exports made by two processes: the fork, the pipe, the temporary file and the copy.
+"""Surface exports made by two processes: the fork, the pipe, the temporary file and the copy.
 
-Imported only by an export large enough to split (``surface.write_export``
-and ``surface.split_export``), so a start-up compiles none of it.
+Imported only by a surface export large enough to split
+(``surface.split_export``), so a start-up compiles none of it.
 """
 
 from __future__ import annotations
@@ -10,10 +10,10 @@ import json
 import os
 import signal
 import tempfile
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain
-from typing import BinaryIO, TextIO
+from typing import BinaryIO
 
 from . import surface
 from .errors import DomainError, InvariantError
@@ -31,22 +31,21 @@ def send(pipe: BinaryIO, error: BaseException | None = None) -> None:
 
 
 @contextmanager
-def forked(layout: tuple, t_values, rows: Callable[[int, int], Sequence]) -> Iterator[Callable[[TextIO], None]]:
-    """Yield the writer of an export whose rows ``[n//2:]`` a forked child makes.
+def forked(eos, xs: list[float], ts: list[float], layout: tuple) -> Iterator[Iterator[str]]:
+    """Yield the chunks of the export of ``eos`` over ``xs`` and ``ts``, rows ``[n//2:]`` made by a child.
 
-    ``rows(start, stop)`` gives the y rows of t rows ``start`` to
-    ``stop``, sampled and audited or taken from a sampled object. This
-    process takes rows ``[:n//2]`` and then waits for the child, which
-    takes rows ``[n//2:]``, reports, renders them into an unnamed
-    temporary file and reports again. A report is one line on a pipe:
-    ok, or a ``DomainError``, ``InvariantError``, ``MemoryError`` or
-    ``OSError``, raised here; a child that ends without one raises
-    ``RuntimeError``. ``write(file)`` writes the head, this process's
-    rows, the child's rows once they are rendered, and the tail. On the
-    way out, by success or any exception, the child is killed if it
-    still runs, and reaped.
+    This process samples and audits rows ``[:n//2]`` and then waits for
+    the child, which samples and audits rows ``[n//2:]``, reports,
+    renders them into an unnamed temporary file and reports again. A
+    report is one line on a pipe: ok, or a ``DomainError``,
+    ``InvariantError``, ``MemoryError`` or ``OSError``, raised here; a
+    child that ends without one raises ``RuntimeError``. The chunks are
+    the head, this process's rows, the child's rows once they are
+    rendered, and the tail. On the way out, by success or any exception,
+    the child is killed if it still runs, and reaped. Sampling and
+    rendering are looked up on ``surface`` at call time.
     """
-    n = len(t_values)
+    n = len(ts)
     half = n // 2
     head, *_, tail = layout
     read_end, write_end = os.pipe()
@@ -57,9 +56,9 @@ def forked(layout: tuple, t_values, rows: Callable[[int, int], Sequence]) -> Ite
             code = 1
             try:
                 try:
-                    y_rows = rows(half, n)
+                    y_rows = surface._audited_rows(eos, xs, ts[half:])
                     send(reporter)
-                    spill.writelines(surface._rows_text(layout, t_values[half:], y_rows, half))
+                    spill.writelines(surface._rows_text(layout, ts[half:], y_rows, half))
                     spill.flush()
                     send(reporter)
                 except tuple(CHILD_ERRORS.values()) as exc:
@@ -90,11 +89,9 @@ def forked(layout: tuple, t_values, rows: Callable[[int, int], Sequence]) -> Ite
             yield from iter(lambda: spill.read(1 << 16), "")
 
         try:
-            own = rows(0, half)
+            own = surface._audited_rows(eos, xs, ts[:half])
             check()
-            yield lambda file: file.writelines(
-                chain([head], surface._rows_text(layout, t_values[:half], own, 0), spilled(), [tail])
-            )
+            yield chain([head], surface._rows_text(layout, ts[:half], own, 0), spilled(), [tail])
         finally:
             if status is None:
                 os.kill(pid, signal.SIGKILL)

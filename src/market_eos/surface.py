@@ -29,16 +29,17 @@ first failing point in (t, x) order.
 Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
 CSV or JSON, byte-deterministic for a given grid, and built one t row
-at a time from one layout per format: ``render_chunks`` yields the rows
-and ``write_export`` writes them as they come, a forked child rendering
-the second half of a large export's rows. ``split_export`` forks before
-sampling instead: each process samples, audits and renders its half of
-a large surface's rows, and nothing is written until both halves have
-passed their audit. Both split through ``market_eos.split``, which only
-a split imports. Only the sampled grid, half of it in each process
-of a split, and a row are held: a 2000 x 2000 gas export peaks near
-92 MB (peak RSS, 2-vCPU VM, Python 3.11), 168 MB when one process held
-the whole grid, where the whole text took 602-846 MB.
+at a time from one layout per format: ``render_chunks`` yields text
+chunks, one per row, for a writer to take as they come. For a large
+surface ``split_export`` yields the same chunks made by two processes:
+each samples, audits and renders half of the rows, through
+``market_eos.split``, which only a split imports, and nothing is
+yielded until both halves have passed their audit. An iso-curve family
+is exported by one process at every size. Only the sampled grid, half
+of it in each process of a split, and a row are held: a 2000 x 2000
+gas export peaks near 92 MB (peak RSS, 2-vCPU VM, Python 3.11), 168 MB
+when one process held the whole grid, where the whole text took
+602-846 MB.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain, repeat
-from typing import TextIO
 
 from .curves import UnitaryDemand
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
@@ -73,9 +73,9 @@ _DBL_MIN = sys.float_info.min
 # is built.
 MAX_GRID_POINTS = 4_000_000
 
-# Smallest export, in points, that ``write_export`` and ``split_export`` split. The fork,
-# the pipe and the temporary file cost 2.0-2.4 ms from a small process, which sampling and
-# rendering in two processes win back between 2**12 and 2**14 points (gas CSV, 2-vCPU VM).
+# Smallest surface export, in points, that ``split_export`` splits. The fork, the pipe and the
+# temporary file cost 2.0-2.4 ms from a small process, which sampling and rendering in two
+# processes win back between 2**12 and 2**14 points (gas CSV, 2-vCPU VM).
 SPLIT_POINTS = 2**16
 
 # Pointwise relative tolerance for declaring curves (or points on a
@@ -447,57 +447,32 @@ def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[st
     return chain([head], _rows_text(layout, obj.t_values, obj.y_rows, 0), [tail] if tail else [])
 
 
-def _splits(n_rows: int, n_x: int) -> bool:
-    """Whether an export of ``n_rows`` rows of ``n_x`` points is made by two processes."""
-    threading = sys.modules.get("threading")  # never imported: no other Python thread was started
-    return (n_rows >= 2 and n_rows * n_x >= SPLIT_POINTS and hasattr(os, "fork")
-            and (threading is None or threading.active_count() == 1))
-
-
-def write_export(obj: SurfaceGrid | IsocurveFamily, format: str, file: TextIO) -> None:
-    """Write the text ``render_chunks(obj, format)`` yields to the text file ``file``.
-
-    Where ``os.fork`` exists and no other Python thread runs, an export
-    of two or more rows and at least ``SPLIT_POINTS`` points is rendered
-    by two processes: a forked child renders rows ``[n//2:]`` into an
-    unnamed temporary file while this process renders rows ``[:n//2]``,
-    and the child's rows are copied after its own. A child's
-    ``MemoryError`` or ``OSError`` is raised here; any other failure of
-    the child raises ``RuntimeError``.
-    """
-    head, *_, tail = layout = _layout_of(obj, format)
-    if _splits(len(obj.t_values), len(obj.x_values)):
-        from .split import forked
-
-        with forked(layout, obj.t_values, lambda start, stop: obj.y_rows[start:stop]) as write:
-            write(file)
-    else:
-        file.writelines(chain([head], _rows_text(layout, obj.t_values, obj.y_rows, 0), [tail]))
-
-
 @contextmanager
-def split_export(eos, grid: GridSpec, format: str) -> Iterator[Callable[[TextIO], None] | None]:
+def split_export(eos, grid: GridSpec, format: str) -> Iterator[Iterator[str] | None]:
     """Sample, audit and render the surface of ``eos`` on ``grid`` in two processes.
 
-    Yields ``write(file)``, which writes the bytes of
-    ``write_export(sample_surface(eos, grid), format, file)``, or None
-    where one process exports the grid: where ``write_export`` would not
-    split it, and where a point lies outside the domain, so that
-    ``sample_surface`` audits the points before it and names the first
-    failing one. Otherwise this process checks the axes and the domain,
-    forks, then samples, audits and renders rows ``[:n//2]`` while a
-    child does rows ``[n//2:]``. It yields only once both halves have
-    passed their audit, and its own error comes first, as its rows do.
+    Yields the chunks of ``render_chunks(sample_surface(eos, grid),
+    format)``, or None where one process exports the grid: where
+    ``os.fork`` is missing, another Python thread runs or the grid has
+    fewer than ``SPLIT_POINTS`` points, and where a point lies outside
+    the domain, so that ``sample_surface`` audits the points before it
+    and names the first failing one. Otherwise this process checks the
+    axes and the domain, forks, then samples and audits rows ``[:n//2]``
+    while a child does rows ``[n//2:]`` (``split.forked``). It yields
+    only once both halves have passed their audit, and its own error
+    comes first, as its rows do.
     """
     xs, ts = grid.x_values(), grid.t_values()
-    if not _splits(len(ts), len(xs)) or _checked_axes(eos, xs, ts)[2] is not None:
+    threading = sys.modules.get("threading")  # never imported: no other Python thread was started
+    if (len(xs) * len(ts) < SPLIT_POINTS or not hasattr(os, "fork")
+            or (threading is not None and threading.active_count() > 1)
+            or _checked_axes(eos, xs, ts)[2] is not None):
         yield None
         return
     from .split import forked
 
-    layout = _layout(format, xs, eos.axis_labels())
-    with forked(layout, ts, lambda start, stop: _audited_rows(eos, xs, ts[start:stop])) as write:
-        yield write
+    with forked(eos, xs, ts, _layout(format, xs, eos.axis_labels())) as chunks:
+        yield chunks
 
 
 def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:

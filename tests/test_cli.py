@@ -1,15 +1,22 @@
 """End-to-end command tests through cli.main, in-process except where a memory cap needs a child."""
 
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from market_eos import (
     CurieParamagnetEoS,
@@ -200,15 +207,20 @@ def test_solve_linear_market_whose_slope_difference_overflows(tmp_path, capsys):
     assert out.startswith("Pr*=5e-09 ")
 
 
-def test_eos_with_a_subnormal_surface_constant_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("tiny, k", [
     # K = sqrt(4.9e-320 / (2.76e306 * 3)) = 7.7e-314 is subnormal
+    ({"k_s": 4.9e-320, "k_d": 2.76e306, "households": 3}, "K = 7.69"),
+    # K = sqrt(5e-324 / (1e300 * 1e300)) = 2e-462 rounds to zero, and 1/K would divide by it
+    ({"k_s": 5e-324, "k_d": 1e300, "households": 1e300}, "K = 0.0 "),
+], ids=["subnormal", "zero"])
+def test_eos_with_a_subnormal_surface_constant_exits_3(tmp_path, capsys, tiny, k):
     path = tmp_path / "tiny.json"
-    tiny = {"name": "tiny", "family": "unitary", "k_s": 4.9e-320, "k_d": 2.76e306, "households": 3}
-    path.write_text(json.dumps({"version": "1", "markets": [tiny]}), encoding="utf-8")
+    market = dict(tiny, name="tiny", family="unitary")
+    path.write_text(json.dumps({"version": "1", "markets": [market]}), encoding="utf-8")
     code, out, err = run(capsys, "eos", "--config", str(path), "tiny")
     assert code == 3
     assert out == ""
-    assert "K = 7.69" in err and "below the smallest normal double" in err
+    assert k in err and "below the smallest normal double" in err
 
 
 def test_eos_with_an_overflowing_surface_constant_quotient(tmp_path, capsys):
@@ -554,6 +566,16 @@ def test_a_split_sized_grid_outside_the_domain_names_its_first_failing_point(con
     assert forks == []  # one process samples a grid with a point outside the domain
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_isocurves_export_of_split_size_is_made_by_one_process(config_path, capsys, monkeypatch, fmt):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked an isocurves export"))
+    code, out, err = run(capsys, "isocurves", "--config", config_path, "gas", "--t-values", "1,2",
+                         "--points", "32768", "--format", fmt)  # 2**16 points
+    family = isocurves(IdealGasEoS(n=1.0, R=8.314), [1.0, 2.0], (1.0, 2.0), 32768)
+    assert (code, err) == (0, "")
+    assert out == "".join(render_chunks(family, fmt)) + "curves=2 collapse=false\n"
+
+
 def processes_naming(text: str) -> list[str]:
     """Process ids whose command line contains ``text``."""
     found = []
@@ -842,7 +864,7 @@ def test_zeroth_infinite_clearing_price_exits_3(tmp_path, capsys):
     huge = {"name": "huge", "family": "unitary", "k_s": 1e308, "k_d": 1e-308}
     code, out, err = zeroth_on(tmp_path, capsys, markets=[CONFIG["markets"][0], huge])
     assert code == 3
-    assert out == "market quantized_price\n"
+    assert out == ""
     assert "market 'huge'" in err
 
 
@@ -951,3 +973,90 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "market-eos" in out
+
+
+# --------------------------------------------------------------------------- the CLI contract over generated inputs
+
+# Every finite double, drawn by its bit pattern: a sign, an 11-bit exponent field short of the all-ones of inf and
+# NaN, and a 52-bit fraction, so that every binary exponent is drawn alike. Magnitudes fill the fields whose sign a
+# family fixes.
+finite_doubles = st.builds(
+    lambda sign, exponent, fraction: struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | fraction))[0],
+    st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1))
+magnitudes = finite_doubles.map(abs)
+value_lists = st.lists(st.one_of(magnitudes, finite_doubles), min_size=1, max_size=3).map(
+    lambda values: ",".join(map(repr, values)))
+NON_FINITE_TOKEN = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
+
+
+@st.composite
+def contract_configs(draw) -> dict:
+    """Two markets, both surfaces and a positive grid, every coefficient and bound a generated double."""
+    households = draw(st.one_of(st.integers(1, 10**300), st.floats(1.0, 1e300).map(lambda n: float(math.floor(n)))))
+    x_bounds = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))
+    t_bounds = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))
+    return {
+        "version": "1",
+        "markets": [
+            {"name": "lin", "family": "linear", "k_s": -draw(magnitudes), "q_d0": draw(magnitudes),
+             "k_d": draw(magnitudes)},
+            {"name": "uni", "family": "unitary", "k_s": draw(magnitudes), "k_d": draw(magnitudes),
+             "households": households, "interpretation": draw(st.sampled_from(["per-household", "aggregate"]))},
+        ],
+        "eos": [
+            {"name": "gas", "kind": "ideal_gas", "n": draw(magnitudes), "R": draw(magnitudes)},
+            {"name": "magnet", "kind": "paramagnet", "D": draw(magnitudes), "mu0": draw(magnitudes)},
+        ],
+        "grid": {"x_min": x_bounds[0], "x_max": x_bounds[1], "nx": draw(st.integers(2, 4)),
+                 "t_min": t_bounds[0], "t_max": t_bounds[1], "nt": draw(st.integers(2, 4))},
+    }
+
+
+@st.composite
+def contract_commands(draw) -> list[str]:
+    """The arguments after ``--config`` of one command, grid bounds from every finite double."""
+    command = draw(st.sampled_from(["eos", "zeroth", "surface", "isocurves", "collapse", "consistency", "solve"]))
+    market = draw(st.sampled_from(["lin", "uni"]))
+    name = draw(st.sampled_from(["gas", "magnet", "uni", "lin"]))
+    fmt = ["--format", draw(st.sampled_from(["csv", "json"]))]
+    bounds = [f"--{key}={draw(finite_doubles)!r}" for key in draw(
+        st.lists(st.sampled_from(["x-min", "x-max", "t-min", "t-max"]), unique=True))]
+    return {
+        "solve": ["solve", market, *["--json"] * draw(st.booleans())],
+        "consistency": ["consistency", market],
+        "eos": ["eos", market],
+        "surface": ["surface", name, *fmt, *bounds],
+        "isocurves": ["isocurves", name, *fmt, f"--t-values={draw(value_lists)}",
+                      "--points", str(draw(st.integers(2, 4))), *(bound for bound in bounds if "-x-" in bound)],
+        "collapse": ["collapse", market, f"--prices={draw(value_lists)}"],
+        "zeroth": ["zeroth"],
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def contract_config(**unitary) -> dict:
+    """The test config with a linear market and the unitary market ``uni`` of coefficients ``unitary``."""
+    return dict(CONFIG, markets=[CONFIG["markets"][0], dict(unitary, name="uni", family="unitary")])
+
+
+# K = 2e-462 rounds to zero: eos must exit 3 with nothing printed, not divide by K
+@example(config=contract_config(k_s=5e-324, k_d=1e300, households=10**300), command=["eos", "uni"])
+# Pr* = sqrt(1e308 / 1e-308) overflows: zeroth must exit 3 without its header
+@example(config=contract_config(k_s=1e308, k_d=1e-308), command=["zeroth"])
+@settings(max_examples=100, deadline=None)
+@given(config=contract_configs(), command=contract_commands())
+def test_every_command_exits_with_a_documented_code_and_prints_nothing_non_finite(contract_dir, config, command):
+    path = contract_dir / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command[0], "--config", str(path), *command[1:]])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+    elif command[0] != "solve":  # solve checks only its price for finiteness, not Q* or the residual
+        assert NON_FINITE_TOKEN.search(out.getvalue()) is None, out.getvalue()

@@ -33,7 +33,7 @@ from market_eos import (
     sample_surface,
 )
 import market_eos.surface as surface_module
-from market_eos.surface import AUDIT_EPS, MAX_GRID_POINTS, write_export
+from market_eos.surface import AUDIT_EPS, MAX_GRID_POINTS
 
 from grid_oracles import curves, document, points
 from packaged_schemas import load_schema
@@ -221,36 +221,31 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split write
 
 @pytest.fixture
 def split_all(monkeypatch, forks):
-    """Every export of two or more rows is split; the list holds one entry per fork."""
+    """Every surface export is split; the list holds one entry per fork."""
     monkeypatch.setattr(surface_module, "SPLIT_POINTS", 0)
     return forks
 
 
-def rows_object(kind, n_rows):
-    xs = (1.0, 1.5, 2.0)
-    ts = tuple(1.0 + 0.25 * j for j in range(n_rows))
-    rows = tuple(tuple(UNIT_EOS.y_of(x, t) for x in xs) for t in ts)
-    return SurfaceGrid(*UNIT_EOS.axis_labels(), xs, ts, rows) if kind is SurfaceGrid else IsocurveFamily(xs, ts, rows)
+def rows_grid(n_rows):
+    return GridSpec(x_min=1.0, x_max=2.0, nx=3, t_min=1.0, t_max=2.5, nt=n_rows)
+
+
+def split_text(grid, fmt, file, eos=UNIT_EOS):
+    """Write the chunks ``split_export`` yields for the surface of ``eos`` on ``grid`` to ``file``."""
+    with surface_module.split_export(eos, grid, fmt) as chunks:
+        assert chunks is not None
+        file.writelines(chunks)
 
 
 @needs_fork
-@pytest.mark.parametrize("n_rows", [1, 2, 3, 7])
-@pytest.mark.parametrize("kind", [SurfaceGrid, IsocurveFamily])
+@pytest.mark.parametrize("n_rows", [2, 3, 7])
+@pytest.mark.parametrize("eos", [UNIT_EOS, IdealGasEoS(), CurieParamagnetEoS(D=2.0)], ids=["market", "gas", "magnet"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_split_export_writes_the_text_of_render_chunks(split_all, fmt, kind, n_rows):
-    obj = rows_object(kind, n_rows)
+def test_split_export_writes_the_text_of_render_chunks(split_all, fmt, eos, n_rows):
     out = io.StringIO()
-    write_export(obj, fmt, out)
-    assert out.getvalue() == "".join(render_chunks(obj, fmt))
-    assert len(split_all) == (n_rows >= 2)  # one row is written here alone
-
-
-def test_small_exports_are_written_by_one_process(monkeypatch):
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below SPLIT_POINTS"))
-    grid = sample_surface(UNIT_EOS, GridSpec(x_min=1.0, x_max=2.0, nx=255, t_min=1.0, t_max=2.0, nt=257))
-    out = io.StringIO()
-    write_export(grid, "json", out)  # 65 535 points, one short of 2**16
-    assert out.getvalue() == render_json(grid)
+    split_text(rows_grid(n_rows), fmt, out, eos)
+    assert out.getvalue() == "".join(render_chunks(sample_surface(eos, rows_grid(n_rows)), fmt))
+    assert len(split_all) == 1
 
 
 def test_split_export_leaves_a_small_grid_no_fork_or_a_running_thread_to_one_process(monkeypatch):
@@ -258,21 +253,21 @@ def test_split_export_leaves_a_small_grid_no_fork_or_a_running_thread_to_one_pro
 
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked where one process exports the grid"))
     split_sized = GridSpec(x_min=1.0, x_max=2.0, nx=256, t_min=1.0, t_max=2.0, nt=256)
-    with surface_module.split_export(UNIT_EOS, GridSpec(1.0, 2.0, 255, 1.0, 2.0, 257), "csv") as write:
-        assert write is None  # 65 535 points, one short of 2**16
+    with surface_module.split_export(UNIT_EOS, GridSpec(1.0, 2.0, 255, 1.0, 2.0, 257), "csv") as chunks:
+        assert chunks is None  # 65 535 points, one short of 2**16
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
     waiting.start()
     try:
-        with surface_module.split_export(UNIT_EOS, split_sized, "csv") as write:
-            assert write is None
+        with surface_module.split_export(UNIT_EOS, split_sized, "csv") as chunks:
+            assert chunks is None
     finally:
         release.set()
         waiting.join(timeout=10)
     assert not waiting.is_alive()
     monkeypatch.delattr(os, "fork")
-    with surface_module.split_export(UNIT_EOS, split_sized, "csv") as write:
-        assert write is None
+    with surface_module.split_export(UNIT_EOS, split_sized, "csv") as chunks:
+        assert chunks is None
 
 
 @needs_fork
@@ -283,7 +278,7 @@ def test_split_export_leaves_a_small_grid_no_fork_or_a_running_thread_to_one_pro
 def test_a_failing_child_raises_here(split_all, failing_child, error, raised):
     failing_child(error)
     with pytest.raises(raised):
-        write_export(rows_object(SurfaceGrid, 4), "csv", io.StringIO())
+        split_text(rows_grid(4), "csv", io.StringIO())
     assert len(split_all) == 1
 
 
@@ -297,7 +292,7 @@ class ClosedAfterTheHead(io.StringIO):
 @needs_fork
 def test_a_failing_write_here_kills_and_reaps_the_child(split_all):
     with pytest.raises(BrokenPipeError):
-        write_export(rows_object(IsocurveFamily, 5), "json", ClosedAfterTheHead())
+        split_text(rows_grid(5), "json", ClosedAfterTheHead())
     assert len(split_all) == 1
 
 
