@@ -17,7 +17,6 @@ from .eos import (
 from .equilibrium import (
     EquilibriumPoint,
     MarketSpec,
-    auto_bracket,
     clearing_price_analytic,
     clearing_price_numeric,
     excess_demand,
@@ -43,15 +42,9 @@ from .surface import (
     isocurves,
     isoprice_collapse_check,
     render_chunks,
-    render_csv,
-    render_json,
     sample_surface,
 )
-from .zeroth_law import (
-    quantize,
-    rank_markets,
-    verify_equivalence_laws,
-)
+from .zeroth_law import verify_equivalence_laws
 
 __version__ = "0.1.0"
 
@@ -76,7 +69,6 @@ __all__ = [
     "SurfaceGrid",
     "UnitaryDemand",
     "UnitaryEoS",
-    "auto_bracket",
     "check_linear_consistency",
     "classify_elasticity",
     "clearing_price_analytic",
@@ -89,11 +81,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "point_elasticity",
-    "quantize",
-    "rank_markets",
     "render_chunks",
-    "render_csv",
-    "render_json",
     "sample_surface",
     "verify_equivalence_laws",
 ]

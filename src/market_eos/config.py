@@ -50,8 +50,8 @@ class ConfigDocument(Record):
     __slots__ = ("markets", "goods", "eos_entities", "grid", "quantum")
 
     def __init__(self, markets: dict[str, MarketSpec], goods: dict[str, str],
-                 eos_entities: dict[str, IdealGasEoS | CurieParamagnetEoS], grid: GridSpec | None = None,
-                 quantum: float = DEFAULT_QUANTUM) -> None:
+                 eos_entities: dict[str, IdealGasEoS | CurieParamagnetEoS], grid: GridSpec | None,
+                 quantum: float) -> None:
         set_field(self, "markets", markets)
         set_field(self, "goods", goods)
         set_field(self, "eos_entities", eos_entities)

@@ -31,7 +31,7 @@ axis, the t values, and one tuple of y values per t. Exports are plain
 CSV or JSON, byte-deterministic for a given grid, and built one t row
 at a time from one layout per format: ``render_chunks`` yields text
 chunks, one per row, for a writer to take as they come. For a large
-surface ``split_export`` yields the same chunks made by two processes:
+surface ``split_export`` gives the same chunks made by two processes:
 each samples, audits and renders half of the rows, through
 ``market_eos.split``, which only a split imports, and nothing is
 yielded until both halves have passed their audit. An iso-curve family
@@ -49,7 +49,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from itertools import chain, repeat
 
 from .curves import UnitaryDemand
@@ -421,14 +421,6 @@ def _layout(format: str, x_values, labels: tuple[str, str, str] | None, t_values
     return head, pattern, repr, ",\n", "\n  ]\n}\n"
 
 
-def _layout_of(obj: SurfaceGrid | IsocurveFamily, format: str) -> tuple:
-    if isinstance(obj, SurfaceGrid):
-        return _layout(format, obj.x_values, (obj.x_label, obj.y_label, obj.t_label))
-    if isinstance(obj, IsocurveFamily):
-        return _layout(format, obj.x_values, None, obj.t_values)
-    raise TypeError(f"cannot render {type(obj).__name__} as {format.upper()}")
-
-
 def _rows_text(layout: tuple, t_values, y_rows, start: int) -> Iterator[str]:
     """The export's rows of ``t_values`` and ``y_rows``, the first being row ``start``, each built when it is read."""
     _, pattern, t_cell, sep, _ = layout
@@ -440,51 +432,56 @@ def _rows_text(layout: tuple, t_values, y_rows, start: int) -> Iterator[str]:
 def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[str]:
     """The ``csv`` or ``json`` text of ``obj`` in chunks: a head, one chunk per t row, then a JSON tail.
 
-    Each row is rendered when it is read, so a writer that takes the
-    chunks as they come holds at most one of them.
+    CSV has the columns ``x,t,y`` for a surface and ``t,x,y`` for an
+    iso-curve family. JSON is the bytes ``json.dumps(doc, indent=2) +
+    "\\n"`` writes for the document: a surface's is ``{"x_label",
+    "y_label", "t_label", "points": [[x, t, y], ...]}`` in row-major
+    (t, x) order, an iso-curve family's ``{"t_values": [...], "curves":
+    [[[x, y], ...] per t]}``. Each row is rendered when it is read, so a
+    writer that takes the chunks as they come holds at most one of them.
+    Any other object raises ``TypeError`` at the call.
     """
-    head, *_, tail = layout = _layout_of(obj, format)
+    if isinstance(obj, SurfaceGrid):
+        layout = _layout(format, obj.x_values, (obj.x_label, obj.y_label, obj.t_label))
+    elif isinstance(obj, IsocurveFamily):
+        layout = _layout(format, obj.x_values, None, obj.t_values)
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as {format.upper()}")
+    head, *_, tail = layout
     return chain([head], _rows_text(layout, obj.t_values, obj.y_rows, 0), [tail] if tail else [])
 
 
-@contextmanager
-def split_export(eos, grid: GridSpec, format: str) -> Iterator[Iterator[str] | None]:
+def split_export(eos, grid: GridSpec, format: str) -> AbstractContextManager[Iterator[str] | None]:
     """Sample, audit and render the surface of ``eos`` on ``grid`` in two processes.
 
-    Yields the chunks of ``render_chunks(sample_surface(eos, grid),
-    format)``, or None where one process exports the grid: where
-    ``os.fork`` is missing, another Python thread runs or the grid has
-    fewer than ``SPLIT_POINTS`` points, and where a point lies outside
-    the domain, so that ``sample_surface`` audits the points before it
-    and names the first failing one. Otherwise this process checks the
-    axes and the domain, forks, then samples and audits rows ``[:n//2]``
-    while a child does rows ``[n//2:]`` (``split.forked``). It yields
-    only once both halves have passed their audit, and its own error
-    comes first, as its rows do.
+    Returns a context manager whose value is the chunks of
+    ``render_chunks(sample_surface(eos, grid), format)``, or None where
+    one process exports the grid: where ``os.fork`` is missing, another
+    Python thread runs or the grid has fewer than ``SPLIT_POINTS``
+    points, and where a point lies outside the domain, so that
+    ``sample_surface`` audits the points before it and names the first
+    failing one. Otherwise the call checks the axes and the domain, and
+    entering the context forks: this process samples and audits rows
+    ``[:n//2]`` while a child does rows ``[n//2:]`` (``split.forked``).
+    Entering returns only once both halves have passed their audit, and
+    this process's error comes first, as its rows do.
     """
     xs, ts = grid.x_values(), grid.t_values()
     threading = sys.modules.get("threading")  # never imported: no other Python thread was started
     if (len(xs) * len(ts) < SPLIT_POINTS or not hasattr(os, "fork")
             or (threading is not None and threading.active_count() > 1)
             or _checked_axes(eos, xs, ts)[2] is not None):
-        yield None
-        return
+        return nullcontext()
     from .split import forked
 
-    with forked(eos, xs, ts, _layout(format, xs, eos.axis_labels())) as chunks:
-        yield chunks
+    return forked(eos, xs, ts, _layout(format, xs, eos.axis_labels()))
 
 
 def render_csv(obj: SurfaceGrid | IsocurveFamily) -> str:
-    """CSV text: columns x,t,y for a surface, t,x,y for isocurves."""
+    """The CSV text of ``render_chunks(obj, "csv")``."""
     return "".join(render_chunks(obj, "csv"))
 
 
 def render_json(obj: SurfaceGrid | IsocurveFamily) -> str:
-    """JSON text, the bytes ``json.dumps(doc, indent=2) + "\\n"`` writes for the document.
-
-    A surface's document is ``{"x_label", "y_label", "t_label", "points": [[x, t, y], ...]}``
-    in row-major (t, x) order; an iso-curve family's is
-    ``{"t_values": [...], "curves": [[[x, y], ...] per t]}``.
-    """
+    """The JSON text of ``render_chunks(obj, "json")``."""
     return "".join(render_chunks(obj, "json"))

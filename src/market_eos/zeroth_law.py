@@ -27,24 +27,6 @@ def require_quantum(quantum: float) -> None:
         raise DomainError(f"quantum must be positive and finite, got {quantum}")
 
 
-def quantize(price: float, quantum: float) -> int:
-    """Integer tick of ``price`` on the ``quantum`` grid, half-to-even.
-
-    Raises ``DomainError`` for a quantum that is not positive and finite,
-    and when ``price / quantum`` is not finite, since no tick represents it.
-    """
-    require_quantum(quantum)
-    return _tick(price, quantum)
-
-
-def _tick(price: float, quantum: float) -> int:
-    """:func:`quantize` for a quantum already checked."""
-    scaled = price / quantum
-    if not math.isfinite(scaled):
-        raise DomainError(f"price/quantum is not finite: {price!r}/{quantum!r}")
-    return round(scaled)
-
-
 def rank_markets(markets: Mapping[str, MarketSpec], quantum: float) -> list[tuple[str, float]]:
     """Markets ordered by quantized clearing price, names break ties.
 
@@ -57,20 +39,27 @@ def verify_equivalence_laws(markets: Mapping[str, MarketSpec],
                             quantum: float) -> tuple[tuple[float, tuple[str, ...]], ...]:
     """Partition the named markets into price-equilibrium classes on the ``quantum`` grid.
 
-    Returns one ``(quantized price, sorted member names)`` entry per
+    Returns one ``(tick * quantum, sorted member names)`` entry per
     distinct tick, in tick order. Each market's closed-form price is
     computed once, without Q* or the residual, and keyed by its integer
-    tick. Every market lands in exactly one class, and two markets are
-    related exactly when they share a class, so reflexivity, symmetry
-    and transitivity hold for every set of markets. A quantum that is
-    not positive and finite raises ``DomainError``, as do markets whose
-    clearing price cannot be solved or quantized, with the market named.
+    tick ``round(price / quantum)``, half-to-even. Every market lands in
+    exactly one class, and two markets are related exactly when they
+    share a class, so reflexivity, symmetry and transitivity hold for
+    every set of markets. A quantum that is not positive and finite
+    raises ``DomainError``, as does a market whose price cannot be solved
+    or whose ``price / quantum`` or class price is not finite, named.
     """
     require_quantum(quantum)
     by_tick: dict[int, list[str]] = {}
     for name, market in markets.items():
         try:
-            tick = _tick(_analytic_price(market), quantum)
+            price = _analytic_price(market)
+            scaled = price / quantum
+            if not math.isfinite(scaled):
+                raise DomainError(f"price/quantum is not finite: {price!r}/{quantum!r}")
+            tick = round(scaled)
+            if not math.isfinite(tick * quantum):
+                raise DomainError(f"class price is not finite: price {price!r} on quantum {quantum!r}")
         except DomainError as exc:
             raise DomainError(f"market {name!r}: {exc}") from exc
         by_tick.setdefault(tick, []).append(name)

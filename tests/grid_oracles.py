@@ -19,7 +19,7 @@ def curves(family):
 
 
 def document(obj):
-    """The JSON document ``render_json(obj)`` writes, as dicts and lists."""
+    """The JSON document ``render_chunks(obj, "json")`` writes, as dicts and lists."""
     if isinstance(obj, SurfaceGrid):
         labels = {"x_label": obj.x_label, "y_label": obj.y_label, "t_label": obj.t_label}
         return {**labels, "points": [list(p) for p in points(obj)]}

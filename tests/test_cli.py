@@ -29,8 +29,6 @@ from market_eos import (
     isocurves,
     load_config,
     render_chunks,
-    render_csv,
-    render_json,
     sample_surface,
 )
 
@@ -734,8 +732,8 @@ def test_isocurves_gas_isotherms(config_path, capsys):
     assert out.splitlines()[0] == "t,x,y"
 
 
-@pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
-def test_streamed_exports_match_the_renderers_on_stdout_and_in_files(config_path, capsys, tmp_path, fmt, render):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_exports_match_the_renderers_on_stdout_and_in_files(config_path, capsys, tmp_path, fmt):
     grid = ["--x-min", "0.3", "--x-max", "7.1", "--nx", "7", "--t-min", "0.5", "--t-max", "9.25", "--nt", "5"]
     curves = ["--t-values", "300,0.7,1e-3", "--x-min", "0.01", "--x-max", "0.1", "--points", "6"]
     cfg = load_config(config_path)
@@ -744,8 +742,10 @@ def test_streamed_exports_match_the_renderers_on_stdout_and_in_files(config_path
         sampled = sample_surface(eos, GridSpec(0.3, 7.1, 7, 0.5, 9.25, 5))
         family = isocurves(eos, [300.0, 0.7, 1e-3], (0.01, 0.1), 6)
         for argv, expected, verdict in (
-            (["surface", "--config", config_path, name, "--format", fmt, *grid], render(sampled), ""),
-            (["isocurves", "--config", config_path, name, "--format", fmt, *curves], render(family),
+            (["surface", "--config", config_path, name, "--format", fmt, *grid], "".join(render_chunks(sampled, fmt)),
+             ""),
+            (["isocurves", "--config", config_path, name, "--format", fmt, *curves],
+             "".join(render_chunks(family, fmt)),
              "curves=3 collapse=false\n"),
         ):
             code, out, _ = run(capsys, *argv)
@@ -866,6 +866,15 @@ def test_zeroth_infinite_clearing_price_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "market 'huge'" in err
+
+
+@pytest.mark.parametrize("quantum", [3.0, 7.0, 1.5])
+def test_zeroth_class_price_that_overflows_exits_3(tmp_path, capsys, quantum):
+    # Pr* = DBL_MAX and Pr*/quantum are finite, but the tick times the quantum rounds past DBL_MAX
+    edge = {"name": "a", "family": "linear", "k_s": -0.5, "q_d0": sys.float_info.max, "k_d": 0.5}
+    code, out, err = zeroth_on(tmp_path, capsys, quantum=quantum, markets=[CONFIG["markets"][0], edge])
+    assert (code, out) == (3, "")
+    assert err == f"error: market 'a': class price is not finite: price 1.7976931348623157e+308 on quantum {quantum}\n"
 
 
 def test_zeroth_infinite_quantum_exits_2(tmp_path, capsys):
@@ -991,12 +1000,13 @@ NON_FINITE_TOKEN = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
 
 @st.composite
 def contract_configs(draw) -> dict:
-    """Two markets, both surfaces and a positive grid, every coefficient and bound a generated double."""
+    """Two markets, both surfaces, a positive grid and a quantum, every coefficient and bound a generated double."""
     households = draw(st.one_of(st.integers(1, 10**300), st.floats(1.0, 1e300).map(lambda n: float(math.floor(n)))))
     x_bounds = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))
     t_bounds = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))
     return {
         "version": "1",
+        "quantum": draw(magnitudes),
         "markets": [
             {"name": "lin", "family": "linear", "k_s": -draw(magnitudes), "q_d0": draw(magnitudes),
              "k_d": draw(magnitudes)},
@@ -1047,6 +1057,10 @@ def contract_config(**unitary) -> dict:
 @example(config=contract_config(k_s=5e-324, k_d=1e300, households=10**300), command=["eos", "uni"])
 # Pr* = sqrt(1e308 / 1e-308) overflows: zeroth must exit 3 without its header
 @example(config=contract_config(k_s=1e308, k_d=1e-308), command=["zeroth"])
+# Pr* = DBL_MAX and Pr*/3 are finite, but the class price, tick * 3, rounds to inf: zeroth must exit 3
+@example(config=dict(CONFIG, quantum=3.0, markets=[
+    {"name": "lin", "family": "linear", "k_s": -0.5, "q_d0": 1.7976931348623157e308, "k_d": 0.5}]),
+    command=["zeroth"])
 @settings(max_examples=100, deadline=None)
 @given(config=contract_configs(), command=contract_commands())
 def test_every_command_exits_with_a_documented_code_and_prints_nothing_non_finite(contract_dir, config, command):

@@ -137,6 +137,18 @@ def test_price_domain_errors():
         point_elasticity(LinearSupply(k_d=3.0), 0.0)
 
 
+@pytest.mark.parametrize("method, pr", [
+    (LinearDemand(k_s=-2.0, q_d0=10.0).slope, -1.0),
+    (LinearSupply(k_d=3.0).quantity, -1.0),
+    (LinearSupply(k_d=3.0).slope, -1.0),
+    (UnitaryDemand(k_s=8.0).slope, -1.0),
+    (UnitaryDemand(k_s=8.0).slope, 0.0),
+], ids=["linear-demand-slope", "supply-quantity", "supply-slope", "unitary-slope-negative", "unitary-slope-zero"])
+def test_price_guards_reject_prices_outside_the_curve_domain(method, pr):
+    with pytest.raises(DomainError, match=f"^price must be (nonnegative|positive), got {pr}$"):
+        method(pr)
+
+
 positive = st.floats(min_value=1e-9, max_value=1e3, allow_nan=False)
 
 

@@ -17,11 +17,11 @@ from market_eos import (
     LinearSupply,
     MarketSpec,
     UnitaryDemand,
-    auto_bracket,
     clearing_price_analytic,
     clearing_price_numeric,
     excess_demand,
 )
+from market_eos.equilibrium import auto_bracket
 
 LINEAR = MarketSpec(demand=LinearDemand(k_s=-2.0, q_d0=10.0), supply=LinearSupply(k_d=3.0))
 UNITARY4 = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)

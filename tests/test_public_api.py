@@ -6,18 +6,17 @@ PUBLIC_NAMES = [
     "BracketingError", "ConfigDocument", "ConfigError", "ConsistencyReport", "CurieParamagnetEoS",
     "CurveCollapseReport", "DomainError", "EquilibriumPoint", "GAS_CONSTANT", "GridSpec", "IdealGasEoS",
     "InvariantError", "IsocurveFamily", "IsopriceCollapseReport", "LinearDemand", "LinearSupply", "MarketSpec",
-    "SurfaceGrid", "UnitaryDemand", "UnitaryEoS", "auto_bracket", "check_linear_consistency",
-    "classify_elasticity", "clearing_price_analytic", "clearing_price_numeric", "derive_unitary_eos",
-    "excess_demand", "family_collapse", "isocurves", "isoprice_collapse_check", "load_config", "parse_config",
-    "point_elasticity", "quantize", "rank_markets", "render_chunks", "render_csv", "render_json",
-    "sample_surface", "verify_equivalence_laws",
+    "SurfaceGrid", "UnitaryDemand", "UnitaryEoS", "check_linear_consistency", "classify_elasticity",
+    "clearing_price_analytic", "clearing_price_numeric", "derive_unitary_eos", "excess_demand",
+    "family_collapse", "isocurves", "isoprice_collapse_check", "load_config", "parse_config", "point_elasticity",
+    "render_chunks", "sample_surface", "verify_equivalence_laws",
 ]
 
 
-def test_all_is_sorted_unique_resolvable_and_the_expected_forty_names():
+def test_all_is_sorted_unique_resolvable_and_the_expected_thirty_five_names():
     names = market_eos.__all__
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(market_eos, name)] == []
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 35
     assert names == PUBLIC_NAMES

@@ -67,7 +67,7 @@ RECORDS = [
     (CurveCollapseReport, {"n_curves": 2, "max_rel_difference": 0.5, "collapse": False}, 0,
      "CurveCollapseReport(n_curves=2, max_rel_difference=0.5, collapse=False)"),
     (ConfigDocument, {"markets": {"a": MARKET}, "goods": {}, "eos_entities": {}, "grid": None,
-                      "quantum": 1e-9}, 2,
+                      "quantum": 1e-9}, 0,
      f"ConfigDocument(markets={{'a': {MARKET_REPR}}}, goods={{}}, eos_entities={{}}, grid=None, "
      "quantum=1e-09)"),
 ]
@@ -108,7 +108,12 @@ def test_records_of_different_classes_with_equal_fields_differ():
     assert LinearSupply(8.0) != UnitaryDemand(8.0)
     assert LinearSupply(2.0) != LinearSupply(3.0)
     assert EquilibriumPoint(2.0, 4.0, 0.0) != EquilibriumPoint(2.0, 4.0, 1e-16)
-    assert ConfigDocument({}, {}, {}, quantum=1.0) != ConfigDocument({}, {}, {}, quantum=2.0)
+    assert ConfigDocument({}, {}, {}, None, 1.0) != ConfigDocument({}, {}, {}, None, 2.0)
+
+
+def test_config_document_takes_every_field():
+    with pytest.raises(TypeError):
+        ConfigDocument({}, {}, {}, None)
 
 
 def test_cli_start_up_imports_no_code_introspection_modules():

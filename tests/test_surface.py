@@ -28,8 +28,6 @@ from market_eos import (
     isocurves,
     isoprice_collapse_check,
     render_chunks,
-    render_csv,
-    render_json,
     sample_surface,
 )
 import market_eos.surface as surface_module
@@ -42,6 +40,11 @@ UNIT_EOS = derive_unitary_eos(
     MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)
 )  # K = 1
 GRID_2X2 = GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=1.0, t_max=2.0, nt=2)
+
+
+def export(obj, fmt):
+    """The whole ``fmt`` text of ``obj``: the chunks of ``render_chunks`` joined."""
+    return "".join(render_chunks(obj, fmt))
 
 
 def test_two_by_two_surface_values():
@@ -82,7 +85,7 @@ def test_ideal_gas_surface_value():
 
 
 def test_csv_has_header_plus_point_lines():
-    text = render_csv(sample_surface(UNIT_EOS, GRID_2X2))
+    text = export(sample_surface(UNIT_EOS, GRID_2X2), "csv")
     lines = text.splitlines()
     assert len(lines) == 5
     assert lines[0] == "x,t,y"
@@ -91,7 +94,7 @@ def test_csv_has_header_plus_point_lines():
 def test_csv_round_trip_bit_exact():
     grid = GridSpec(x_min=0.7, x_max=9.3, nx=7, t_min=0.3, t_max=11.0, nt=5)
     sampled = sample_surface(IdealGasEoS(n=1.37), grid)
-    lines = render_csv(sampled).splitlines()[1:]
+    lines = export(sampled, "csv").splitlines()[1:]
     parsed = [tuple(float(cell) for cell in line.split(",")) for line in lines]
     assert tuple(parsed) == points(sampled)
 
@@ -182,38 +185,38 @@ def test_isoprice_check_rejects_linear_and_empty():
 
 
 def test_surface_json_validates_against_schema():
-    doc = json.loads(render_json(sample_surface(UNIT_EOS, GRID_2X2)))
+    doc = json.loads(export(sample_surface(UNIT_EOS, GRID_2X2), "json"))
     jsonschema.validate(doc, load_schema("surface"))
 
 
 def test_isocurves_json_validates_against_schema():
-    doc = json.loads(render_json(isocurves(IdealGasEoS(), [300.0, 600.0], (0.01, 0.1), 4)))
+    doc = json.loads(export(isocurves(IdealGasEoS(), [300.0, 600.0], (0.01, 0.1), 4), "json"))
     jsonschema.validate(doc, load_schema("isocurves"))
 
 
 def test_exports_are_deterministic():
     grid = GridSpec(x_min=1.0, x_max=10.0, nx=13, t_min=1.0, t_max=10.0, nt=11)
-    a = render_csv(sample_surface(UNIT_EOS, grid))
-    b = render_csv(sample_surface(UNIT_EOS, grid))
+    a = export(sample_surface(UNIT_EOS, grid), "csv")
+    b = export(sample_surface(UNIT_EOS, grid), "csv")
     assert a == b
-    assert render_json(sample_surface(UNIT_EOS, grid)) == render_json(
-        sample_surface(UNIT_EOS, grid)
-    )
+    assert export(sample_surface(UNIT_EOS, grid), "json") == export(sample_surface(UNIT_EOS, grid), "json")
 
 
-def test_render_chunks_are_one_per_row_and_join_to_the_renderers():
+def test_render_chunks_are_one_per_row_and_join_to_the_per_point_text():
     grid = sample_surface(UNIT_EOS, GridSpec(x_min=1.0, x_max=2.0, nx=3, t_min=1.0, t_max=2.0, nt=4))
     family = isocurves(UNIT_EOS, [1.0, 2.0, 4.0], (1.0, 2.0), 3)
-    for obj in (grid, family):
+    family_rows = [(t, x, y) for t, curve in zip(family.t_values, curves(family)) for x, y in curve]
+    for obj, header, rows in ((grid, "x,t,y", points(grid)), (family, "t,x,y", family_rows)):
         csv_chunks = list(render_chunks(obj, "csv"))
         assert len(csv_chunks) == 1 + len(obj.t_values)  # header, then one per row
-        assert "".join(csv_chunks) == render_csv(obj)
+        assert "".join(csv_chunks) == _per_point_csv(header, rows)
         json_chunks = list(render_chunks(obj, "json"))
         assert len(json_chunks) == 2 + len(obj.t_values)  # head, one per row, tail
-        assert "".join(json_chunks) == render_json(obj)
-        assert json.loads(render_json(obj)) == document(obj)
+        assert "".join(json_chunks) == json.dumps(document(obj), indent=2) + "\n"
     with pytest.raises(DomainError, match="unsupported export format 'xml'"):
         render_chunks(grid, "xml")
+    with pytest.raises(TypeError, match="^cannot render GridSpec as CSV$"):  # at the call, not the first chunk
+        render_chunks(GRID_2X2, "csv")
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer forks")
@@ -478,12 +481,12 @@ def test_renderers_match_stdlib_and_per_point_reference(case):
     if _subnormal_constant_rejected(eos, grid):
         return
     sampled = sample_surface(eos, grid)
-    assert render_json(sampled) == json.dumps(document(sampled), indent=2) + "\n"
-    assert render_csv(sampled) == _per_point_csv("x,t,y", points(sampled))
+    assert export(sampled, "json") == json.dumps(document(sampled), indent=2) + "\n"
+    assert export(sampled, "csv") == _per_point_csv("x,t,y", points(sampled))
     family = isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx)
-    assert render_json(family) == json.dumps(document(family), indent=2) + "\n"
+    assert export(family, "json") == json.dumps(document(family), indent=2) + "\n"
     rows = [(t, x, y) for t, curve in zip(family.t_values, curves(family)) for x, y in curve]
-    assert render_csv(family) == _per_point_csv("t,x,y", rows)
+    assert export(family, "csv") == _per_point_csv("t,x,y", rows)
 
 
 @given(_exponent_form_grids())

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,6 @@ from market_eos import (
     MarketSpec,
     UnitaryDemand,
     clearing_price_analytic,
-    quantize,
-    rank_markets,
     verify_equivalence_laws,
 )
 from market_eos.equilibrium import AGGREGATE, PER_HOUSEHOLD
@@ -28,6 +27,16 @@ MARKET_B = MarketSpec(demand=LinearDemand(k_s=-3.0, q_d0=10.0), supply=LinearSup
 MARKET_C = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0))
 MARKET_D = MarketSpec(demand=UnitaryDemand(k_s=8.0), supply=LinearSupply(k_d=2.0), households=4)
 QUANTUM = 1e-9
+
+
+def exact_price(price):
+    """A market clearing at exactly ``price``: ``q_d0 / (k_d - k_s)`` with ``k_d - k_s = 1``."""
+    return MarketSpec(demand=LinearDemand(k_s=-0.5, q_d0=price), supply=LinearSupply(k_d=0.5))
+
+
+def ranking(markets, quantum):
+    """``(name, class price)`` pairs of the classes flattened in class order: the ranking."""
+    return [(name, price) for price, members in verify_equivalence_laws(markets, quantum) for name in members]
 
 
 def test_equal_clearing_prices_are_in_equilibrium():
@@ -48,26 +57,31 @@ def test_unequal_prices_not_in_equilibrium():
 
 
 def test_ranking_with_tie():
-    ranked = rank_markets(dict(A=MARKET_A, D=MARKET_D, B=MARKET_B), QUANTUM)
+    ranked = ranking(dict(A=MARKET_A, D=MARKET_D, B=MARKET_B), QUANTUM)
     assert ranked == [("A", 2.0), ("B", 2.0), ("D", 4.0)]
 
 
 def test_ranking_edge_sizes():
-    assert rank_markets(dict(A=MARKET_A), QUANTUM) == [("A", 2.0)]
-    assert rank_markets({}, QUANTUM) == []
+    assert ranking(dict(A=MARKET_A), QUANTUM) == [("A", 2.0)]
+    assert ranking({}, QUANTUM) == []
 
 
-def test_quantize_half_to_even():
-    assert quantize(2.0, 1e-9) == 2_000_000_000
-    assert quantize(0.5, 1.0) == 0
-    assert quantize(1.5, 1.0) == 2
-    assert quantize(2.5, 1.0) == 2
+def test_ticks_round_half_to_even():
+    assert verify_equivalence_laws({"a": exact_price(2.0)}, 1e-9) == ((2.0, ("a",)),)  # tick 2 000 000 000
+    # 0.5 -> tick 0, 1.5 -> tick 2, 2.5 -> tick 2
+    markets = {"half": exact_price(0.5), "one_and_half": exact_price(1.5), "two_and_half": exact_price(2.5)}
+    assert verify_equivalence_laws(markets, 1.0) == ((0.0, ("half",)), (2.0, ("one_and_half", "two_and_half")))
 
 
-@pytest.mark.parametrize("price, quantum", [(float("inf"), 1e-9), (float("nan"), 1e-9), (1e300, 1e-20)])
-def test_quantize_rejects_non_finite_ticks(price, quantum):
-    with pytest.raises(DomainError, match="not finite"):
-        quantize(price, quantum)
+@pytest.mark.parametrize("price, quantum, message", [
+    (1e300, 1e-20, "price/quantum is not finite: 1e+300/1e-20"),
+    *((sys.float_info.max, quantum, f"class price is not finite: price 1.7976931348623157e+308 on quantum {quantum}")
+      for quantum in (3.0, 7.0, 1.5)),
+])
+def test_a_market_without_a_finite_tick_or_class_price_is_named(price, quantum, message):
+    markets = {"fine": MARKET_A, "a": exact_price(price)}
+    with pytest.raises(DomainError, match=f"^market 'a': {re.escape(message)}$"):
+        verify_equivalence_laws(markets, quantum)
 
 
 def test_laws_pass_on_equal_price_triple():
@@ -85,17 +99,16 @@ def test_empty_registry_report():
 
 @pytest.mark.parametrize("quantum", [0.0, -0.0, -1e-9, float("inf"), float("-inf"), float("nan")])
 def test_quantum_must_be_positive_and_finite(quantum):
-    for call in (lambda: verify_equivalence_laws({}, quantum), lambda: rank_markets({"A": MARKET_A}, quantum),
-                 lambda: quantize(1.0, quantum)):
+    for markets in ({}, {"A": MARKET_A}):
         with pytest.raises(DomainError, match="quantum must be positive and finite"):
-            call()
+            verify_equivalence_laws(markets, quantum)
 
 
 def test_ranking_consistent_with_classes():
-    markets = dict(A=MARKET_A, B=MARKET_B, C=MARKET_C, D=MARKET_D)
-    ranked = rank_markets(markets, QUANTUM)
-    by_class = [(price, name) for price, members in verify_equivalence_laws(markets, QUANTUM) for name in members]
-    assert [(price, name) for name, price in ranked] == by_class
+    ranked = ranking(dict(D=MARKET_D, C=MARKET_C, B=MARKET_B, A=MARKET_A), QUANTUM)
+    # by class price, names breaking ties
+    assert ranked == sorted(ranked, key=lambda pair: (pair[1], pair[0]))
+    assert ranked == [("A", 2.0), ("B", 2.0), ("C", 2.0), ("D", 4.0)]
 
 
 market_strategy = st.one_of(
@@ -154,17 +167,23 @@ wide_market_strategy = st.one_of(
 
 
 def reference_ticks(markets, quantum):
-    """Each market's tick as the ranking once composed it: the whole analytic point, then its price quantized.
+    """Each market's tick from the whole analytic point: its price, then ``round(price / quantum)``.
 
     Returns the ticks by name, or the first error with the market named
-    as the ranking names it.
+    as the ranking names it: the price's own, a non-finite quotient or a
+    non-finite class price ``tick * quantum``.
     """
     ticks = {}
     for name, market in markets.items():
         try:
-            ticks[name] = quantize(clearing_price_analytic(market).clearing_price, quantum)
+            price = clearing_price_analytic(market).clearing_price
         except DomainError as exc:
             return type(exc)(f"market {name!r}: {exc}")
+        if not math.isfinite(price / quantum):
+            return DomainError(f"market {name!r}: price/quantum is not finite: {price!r}/{quantum!r}")
+        ticks[name] = round(price / quantum)
+        if not math.isfinite(ticks[name] * quantum):
+            return DomainError(f"market {name!r}: class price is not finite: price {price!r} on quantum {quantum!r}")
     return ticks
 
 
@@ -196,8 +215,7 @@ def brute_force_relation(markets, quantum):
     names = list(markets)
     n = len(names)
     assert n <= 64
-    tick = {name: quantize(clearing_price_analytic(market).clearing_price, quantum)
-            for name, market in markets.items()}
+    tick = {name: round(clearing_price_analytic(market).clearing_price / quantum) for name, market in markets.items()}
     related = np.array([[tick[a] == tick[b] for b in names] for a in names], dtype=np.int64)
     paths = related @ related  # paths[a, c] = #b with a~b and b~c
     reflexive = bool(np.all(np.diag(related) == 1))
