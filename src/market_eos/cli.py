@@ -100,6 +100,10 @@ def cmd_solve(args, cfg: ConfigDocument) -> int:
     market = cfg.market(args.market)
     analytic = clearing_price_analytic(market)
     numeric = clearing_price_numeric(market)
+    # checked after the bisection, so that a NaN excess demand is named by its BracketingError
+    if not (math.isfinite(analytic.clearing_quantity) and math.isfinite(analytic.residual)):
+        raise DomainError(f"market {args.market!r} clears at Pr*={analytic.clearing_price!r} with "
+                          f"Q*={analytic.clearing_quantity!r} and residual={analytic.residual!r}, not both finite")
     delta = abs(analytic.clearing_price - numeric.clearing_price)
     if args.json:
         print(

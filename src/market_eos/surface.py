@@ -464,7 +464,8 @@ def split_export(eos, grid: GridSpec, format: str) -> AbstractContextManager[Ite
     entering the context forks: this process samples and audits rows
     ``[:n//2]`` while a child does rows ``[n//2:]`` (``split.forked``).
     Entering returns only once both halves have passed their audit, and
-    this process's error comes first, as its rows do.
+    this process's error comes first, as its rows do. The child's error
+    comes as a pickled report, and its rows once it has exited 0.
     """
     xs, ts = grid.x_values(), grid.t_values()
     threading = sys.modules.get("threading")  # never imported: no other Python thread was started

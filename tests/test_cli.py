@@ -1061,6 +1061,13 @@ def contract_config(**unitary) -> dict:
 @example(config=dict(CONFIG, quantum=3.0, markets=[
     {"name": "lin", "family": "linear", "k_s": -0.5, "q_d0": 1.7976931348623157e308, "k_d": 0.5}]),
     command=["zeroth"])
+# Pr* = 2 and Q* = DBL_MAX are finite, but the residual overflows: solve must exit 3, not print inf
+@example(config=contract_config(k_s=1.7976931348623157e308, k_d=8.98846567431158e307, households=2),
+         command=["solve", "uni"])
+# Pr* = 6e307 is finite, but Q* and the residual overflow: solve --json must exit 3, not print Infinity
+@example(config=dict(CONFIG, markets=[
+    {"name": "lin", "family": "linear", "k_s": -2.2250738585072014e-308, "q_d0": 1.7976931348623157e308, "k_d": 3.0}]),
+    command=["solve", "lin", "--json"])
 @settings(max_examples=100, deadline=None)
 @given(config=contract_configs(), command=contract_commands())
 def test_every_command_exits_with_a_documented_code_and_prints_nothing_non_finite(contract_dir, config, command):
@@ -1072,5 +1079,5 @@ def test_every_command_exits_with_a_documented_code_and_prints_nothing_non_finit
     assert code in (0, 2, 3, 4), err.getvalue()
     if code:
         assert out.getvalue() == ""
-    elif command[0] != "solve":  # solve checks only its price for finiteness, not Q* or the residual
+    else:
         assert NON_FINITE_TOKEN.search(out.getvalue()) is None, out.getvalue()

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -290,6 +291,35 @@ class ClosedAfterTheHead(io.StringIO):
         if self.tell():
             raise BrokenPipeError(32, "Broken pipe")
         return super().write(text)
+
+
+@needs_fork
+def test_a_successful_export_reaps_its_child_without_a_kill(split_all, monkeypatch):
+    kills = []
+    monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+    out = io.StringIO()
+    split_text(rows_grid(6), "csv", out)
+    assert out.getvalue() == "".join(render_chunks(sample_surface(UNIT_EOS, rows_grid(6)), "csv"))
+    assert kills == []
+    assert len(split_all) == 1  # and reaped, which the fixture checks
+
+
+@needs_fork
+def test_a_child_killed_while_rendering_raises_with_its_exit_status(split_all, monkeypatch):
+    parent, render = os.getpid(), surface_module._rows_text
+
+    def killed_in_the_child(*args):
+        if os.getpid() != parent:  # after the child's audit report
+            os.kill(os.getpid(), signal.SIGKILL)
+        return render(*args)
+
+    monkeypatch.setattr(surface_module, "_rows_text", killed_in_the_child)
+    out = io.StringIO()
+    with pytest.raises(RuntimeError, match="exited -9$"):
+        split_text(rows_grid(6), "csv", out)
+    head, *rows = render_chunks(sample_surface(UNIT_EOS, rows_grid(6)), "csv")
+    assert out.getvalue() == "".join([head, *rows[:3]])  # this process's rows, none of the child's, and no tail
+    assert len(split_all) == 1  # and reaped, which the fixture checks
 
 
 @needs_fork
