@@ -57,13 +57,20 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the text ``chunks`` to stdout, or to the file ``out`` opened for writing and then name it."""
+    """Write ``chunks`` to stdout, or to the file ``out`` and name it; a failed write removes a file it created."""
     if out is None:
         sys.stdout.writelines(chunks)
     else:
         out_path = Path(out)  # a relative path names a file in the working directory
-        with open(out_path, "w", encoding="utf-8") as file:
-            file.writelines(chunks)
+        created = not out_path.exists()
+        file = open(out_path, "w", encoding="utf-8")
+        try:
+            with file:
+                file.writelines(chunks)
+        except BaseException:
+            if created:
+                out_path.unlink(missing_ok=True)
+            raise
         print(f"wrote {out_path}")
 
 
@@ -214,24 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, with_out=False)
     sub.add_argument("market", help="market name from the config")
     sub.add_argument("--json", action="store_true", help="print a JSON object instead of text")
-    sub.set_defaults(func=cmd_solve)
 
     sub = commands.add_parser("consistency", help="elasticity consistency report for a linear market")
     _add_common(sub)
     sub.add_argument("market", help="linear market name from the config")
-    sub.set_defaults(func=cmd_consistency)
 
     sub = commands.add_parser("eos", help="constraint-surface constant K for a unitary market")
     _add_common(sub)
     sub.add_argument("market", help="unitary market name from the config")
-    sub.set_defaults(func=cmd_eos)
 
     sub = commands.add_parser("surface", help="sample a constraint surface on a grid")
     _add_common(sub)
     sub.add_argument("name", help="eos block or unitary market name from the config")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_grid_overrides(sub)
-    sub.set_defaults(func=cmd_surface)
 
     sub = commands.add_parser("isocurves", help="fixed-t curve family of a constraint surface")
     _add_common(sub)
@@ -241,29 +244,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, help="curve x upper bound")
     sub.add_argument("--points", type=int, help="points per curve")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.set_defaults(func=cmd_isocurves)
 
     sub = commands.add_parser("collapse", help="isoprice degeneracy check for a unitary market")
     _add_common(sub)
     sub.add_argument("market", help="unitary market name from the config")
     sub.add_argument("--prices", required=True, help="comma-separated exogenous prices")
-    sub.set_defaults(func=cmd_collapse)
 
     sub = commands.add_parser("zeroth", help="price ranking and equivalence-law report")
     _add_common(sub, with_out=False)
-    sub.set_defaults(func=cmd_zeroth)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call, not at import: building imports shutil
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, load_config(args.config))
+        # looked up per call, so a command replaced on the module is the one that runs
+        return globals()[f"cmd_{args.command}"](args, load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

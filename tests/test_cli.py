@@ -1,5 +1,6 @@
 """End-to-end command tests through cli.main, in-process except where a memory cap needs a child."""
 
+import argparse
 import contextlib
 import filecmp
 import hashlib
@@ -30,8 +31,10 @@ from market_eos import (
     load_config,
     render_chunks,
     sample_surface,
+    __version__,
 )
 
+import market_eos.surface as surface_module
 from packaged_schemas import load_schema
 
 CONFIG = {
@@ -47,6 +50,7 @@ CONFIG = {
     ],
     "grid": {"x_min": 1.0, "x_max": 2.0, "nx": 2, "t_min": 1.0, "t_max": 2.0, "nt": 2},
 }
+DEMO = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
 
 
 @pytest.fixture
@@ -466,10 +470,30 @@ def test_split_surface_export_to_out_and_to_stdout(split_config, tmp_path, capsy
 def test_a_failing_export_child_exits_with_the_code_of_its_error(split_config, tmp_path, capsys, forks,
                                                                  failing_child, error, exit_code):
     failing_child(error)
-    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--out", str(tmp_path / "export.csv"))
+    out_file = tmp_path / "export.csv"
+    code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--out", str(out_file))
     assert (code, out) == (exit_code, "")
     assert one_error_line(err)
+    assert not out_file.exists()
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_write_that_fails_in_one_process_exits_4_and_removes_only_a_file_it_created(capsys, tmp_path, monkeypatch,
+                                                                                      existed):
+    rows_text = surface_module._rows_text
+
+    def failing_after_the_first_row(*args):
+        yield next(rows_text(*args))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(surface_module, "_rows_text", failing_after_the_first_row)
+    out_file = tmp_path / "export.csv"
+    if existed:
+        out_file.write_text("an earlier export\n", encoding="utf-8")
+    code, out, err = run(capsys, "surface", "--config", DEMO, "gas", "--out", str(out_file))
+    assert (code, out, err) == (4, "", "error: [Errno 28] No space left on device\n")
+    assert out_file.exists() == existed  # a path that existed before is written in place and kept
 
 
 @needs_fork
@@ -706,8 +730,7 @@ REPORT_FILES = [
 @pytest.mark.parametrize("argv, digest", REPORT_FILES, ids=[argv[0] for argv, _ in REPORT_FILES])
 def test_report_files_are_pinned(capsys, tmp_path, argv, digest):
     out_file = tmp_path / "report.json"
-    demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
-    code, out, _ = run(capsys, argv[0], "--config", demo, *argv[1:], "--out", str(out_file))
+    code, out, _ = run(capsys, argv[0], "--config", DEMO, *argv[1:], "--out", str(out_file))
     assert code == 0
     assert out.startswith(f"wrote {out_file}\n")
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
@@ -982,6 +1005,52 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "market-eos" in out
+
+
+# ------------------------------------------------------------------ one parser for every main call in a process
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """The next ``cli.main`` call is this process's first: it builds the parser that later calls reuse."""
+    monkeypatch.setattr(cli, "_parser", None)
+
+
+def test_an_option_of_one_call_does_not_reach_the_next(config_path, capsys, fresh_parser):
+    first = run(capsys, "surface", "--config", config_path, "gas")
+    assert run(capsys, "surface", "--config", config_path, "gas", "--format", "json")[1].startswith("{")
+    assert run(capsys, "surface", "--config", config_path, "gas") == first
+    assert first[1].startswith("x,t,y\n")
+
+
+def test_a_usage_error_leaves_the_parser_working(config_path, capsys, fresh_parser):
+    code, out, err = run(capsys, "zeroth")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: market-eos zeroth")
+    after_the_error = run(capsys, "zeroth", "--config", config_path)
+    cli._parser = None  # zeroth alone, as this process's first call
+    assert run(capsys, "zeroth", "--config", config_path) == after_the_error
+
+
+def test_a_version_request_leaves_the_parser_working(config_path, capsys, fresh_parser):
+    assert run(capsys, "--version")[:2] == (0, f"market-eos {__version__}\n")
+    code, out, _ = run(capsys, "solve", "--config", config_path, "staple")
+    assert code == 0
+    assert out.startswith("Pr*=2 Q*=6 ")
+
+
+def test_only_the_first_main_call_builds_a_parser(config_path, capsys, fresh_parser, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "solve", "--config", config_path, "staple")[0] == 0
+    first = len(built)
+    assert run(capsys, "solve", "--config", config_path, "credit")[0] == 0
+    assert first > 0 and len(built) == first
 
 
 # --------------------------------------------------------------------------- the CLI contract over generated inputs
