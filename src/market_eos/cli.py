@@ -150,7 +150,7 @@ def cmd_surface(args, cfg: ConfigDocument) -> int:
     eos = _resolve_surface_eos(cfg, args.name)
     grid = _resolve_grid(args, cfg)
     with split_export(eos, grid, args.format) as chunks:
-        # None where one process samples, audits and writes the whole grid
+        # None where one process samples, checks and writes the whole grid
         _emit(chunks or render_chunks(sample_surface(eos, grid), args.format), args.out)
     return 0
 

@@ -1,9 +1,11 @@
 """Classical reference equations of state: ideal gas and Curie paramagnet.
 
 Both expose the same surface-evaluation contract as the market surface
-(axis labels, a closed form y(x, t), and rows of the closed form with
-the implicit form they satisfy), so samplers and comparison tooling
-treat all three interchangeably.
+(axis labels, rows of the closed form, and y(x, t)), so samplers treat
+all three interchangeably. Each closed form is its float expression
+evaluated as if the exponent range had no limit: where an intermediate
+is not normal, the same operations run on the ``math.frexp`` mantissas
+(the mantissa route), and the exponents are put back once.
 """
 
 from __future__ import annotations
@@ -17,15 +19,26 @@ from .record import Record, set_field
 
 GAS_CONSTANT = 8.314
 
-# One row of a surface: its y values and the two sides of y * w == r.
-Row = tuple[list[float], list[float], list[float]]
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 
 
-def _hoisted(name: str, c: float) -> float:
-    """``c``, the constant a closed form hoists, unless it is subnormal and y would lose its bits."""
-    if 0 < abs(c) < sys.float_info.min:
-        raise DomainError(f"{name} = {c!r} is below the smallest normal double")
-    return c
+def _normal(value: float) -> bool:
+    """Whether ``value`` is a normal double: nonzero, finite and not subnormal."""
+    return _DBL_MIN <= abs(value) <= _DBL_MAX
+
+
+def _abs_range(xs: list[float]) -> tuple[float, float]:
+    """The smallest and largest nonzero ``|x|`` over ``xs``, zero where there is none."""
+    magnitudes = [abs(x) for x in xs if x]
+    return (min(magnitudes), max(magnitudes)) if magnitudes else (0.0, 0.0)
+
+
+def _ldexp(m: float, e: int) -> float:
+    """``m * 2**e`` rounded once, ``±inf`` where it overflows."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 class IdealGasEoS(Record):
@@ -50,18 +63,24 @@ class IdealGasEoS(Record):
             raise DomainError(f"temperature must be positive, got {t}")
         if x <= 0:
             raise DomainError(f"volume must be positive, got {x}")
-        return _hoisted("n*R*t", _hoisted("n*R", self.n * self.R) * t) / x
+        return next(self.rows([x], [t]))[0]
 
-    def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
-        """Per t: the pressures over ``xs`` and the sides of ``P * V = n*R*T``.
+    def rows(self, xs: list[float], ts: list[float]) -> Iterator[list[float]]:
+        """Per t, the pressures ``n*R*t / x`` over ``xs``; the caller checks the domain.
 
-        Yields ``(ys, ws, rs)`` with ``ys[i] * ws[i] == rs[i]`` up to
-        rounding. ``n*R*t`` is computed once per row and every y has the
-        bits of ``y_of``; the caller checks the domain.
+        ``n*R`` is computed once and ``n*R*t`` once per row; a row where
+        either is not normal takes the mantissa route.
         """
+        nr = self.n * self.R
+        nr_normal = _normal(nr)
         for t in ts:
-            c = self.n * self.R * t
-            yield [c / x for x in xs], xs, [c] * len(xs)
+            c = nr * t
+            if nr_normal and _normal(c):
+                yield [c / x for x in xs]
+            else:
+                (m_n, e_n), (m_r, e_r), (m_t, e_t) = math.frexp(self.n), math.frexp(self.R), math.frexp(t)
+                m_c, e_c = m_n * m_r * m_t, e_n + e_r + e_t
+                yield [_ldexp(m_c / m_x, e_c - e_x) for m_x, e_x in map(math.frexp, xs)]
 
 
 class CurieParamagnetEoS(Record):
@@ -88,16 +107,24 @@ class CurieParamagnetEoS(Record):
         """Magnetization at applied field x and temperature t."""
         if t <= 0:
             raise DomainError(f"temperature must be positive, got {t}")
-        return _hoisted("D/mu0", self.D / self.mu0) * (x / t)
+        return next(self.rows([x], [t]))[0]
 
-    def rows(self, xs: list[float], ts: list[float]) -> Iterator[Row]:
-        """Per t: the magnetizations over ``xs`` and the sides of ``M * T = (D/mu0) * B0``.
+    def rows(self, xs: list[float], ts: list[float]) -> Iterator[list[float]]:
+        """Per t, the magnetizations ``(D/mu0) * (x/t)`` over ``xs``; the caller checks the domain.
 
-        Yields ``(ys, ws, rs)`` as ``IdealGasEoS.rows`` does. ``D/mu0``
-        and the right-hand sides are computed once per call.
+        ``D/mu0`` is computed once; a row takes the mantissa route unless
+        it and ``x/t`` at the smallest and largest nonzero ``|x|`` are
+        normal, which makes every nonzero ``x/t`` of the row normal (t is
+        positive in the domain; elsewhere the mantissa route is taken).
         """
         c = self.D / self.mu0
-        cx = [c * x for x in xs]
+        c_normal = _normal(c)
+        lo, hi = _abs_range(xs)
         for t in ts:
-            yield [c * (x / t) for x in xs], [t] * len(xs), cx
+            if c_normal and _DBL_MIN <= lo / t and hi / t <= _DBL_MAX:
+                yield [c * (x / t) for x in xs]
+            else:
+                (m_d, e_d), (m_mu, e_mu), (m_t, e_t) = math.frexp(self.D), math.frexp(self.mu0), math.frexp(t)
+                m_c, e_c = m_d / m_mu, e_d - e_mu
+                yield [_ldexp(m_c * (m_x / m_t), e_c + e_x - e_t) for m_x, e_x in map(math.frexp, xs)]
 

@@ -15,26 +15,25 @@ from contextlib import contextmanager
 from itertools import chain
 
 from . import surface
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 
 # The errors a forked child reports; any other exception in it is a bug.
-CHILD_ERRORS = (DomainError, InvariantError, MemoryError, OSError)
+CHILD_ERRORS = (DomainError, MemoryError, OSError)
 
 
 @contextmanager
 def forked(eos, xs: list[float], ts: list[float], layout: tuple) -> Iterator[Iterator[str]]:
     """Yield the chunks of the export of ``eos`` over ``xs`` and ``ts``, rows ``[n//2:]`` made by a child.
 
-    This process samples and audits rows ``[:n//2]`` and then waits for
-    the child, which samples and audits rows ``[n//2:]``, pickles None
+    This process samples and checks rows ``[:n//2]`` and then waits for
+    the child, which samples and checks rows ``[n//2:]``, pickles None
     onto a pipe, renders its rows into an unnamed temporary file and
-    exits 0. A ``DomainError``, ``InvariantError``, ``MemoryError`` or
-    ``OSError`` the child meets is pickled in place of any further
-    report and raised here; a child that ends before its audit report,
-    or ends with a nonzero status, raises ``RuntimeError``. The chunks
-    are the head, this process's rows, the child's rows once it has
-    exited, and the tail. The child is reaped on the way out, killed
-    first only if it has not been reaped: where this process's audit
+    exits 0. A ``DomainError``, ``MemoryError`` or ``OSError`` the child
+    meets is pickled in place of any further report and raised here; a
+    child that ends before its check report, or ends with a nonzero
+    status, raises ``RuntimeError``. The chunks are the head, this
+    process's rows, the child's rows once it has exited, and the tail. The child is reaped on the way out, killed
+    first only if it has not been reaped: where this process's check
     fails, a child's error is raised or the writer fails. Sampling and
     rendering are looked up on ``surface`` at call time.
     """
@@ -49,7 +48,7 @@ def forked(eos, xs: list[float], ts: list[float], layout: tuple) -> Iterator[Ite
             code = 1
             try:
                 try:
-                    y_rows = surface._audited_rows(eos, xs, ts[half:])
+                    y_rows = surface._checked_rows(eos, xs, ts[half:])
                     pickle.dump(None, reporter)
                     spill.writelines(surface._rows_text(layout, ts[half:], y_rows, half))
                     spill.flush()
@@ -61,14 +60,14 @@ def forked(eos, xs: list[float], ts: list[float], layout: tuple) -> Iterator[Ite
         reporter.close()  # the child's copy is the last write end: it reads as closed once the child ends
         status = None  # the child's exit status, once it is reaped
 
-        def check(audited: bool) -> None:
+        def check(reported: bool) -> None:
             """Raise the error the child reports next; at end of file, reap it and raise unless it passed."""
             nonlocal status
             try:
                 error = pickle.load(reports)
             except EOFError:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if status or not audited:
+                if status or not reported:
                     raise RuntimeError(f"the child exporting rows {half} to {n} exited {status}") from None
                 return
             if isinstance(error, OSError):
@@ -77,13 +76,13 @@ def forked(eos, xs: list[float], ts: list[float], layout: tuple) -> Iterator[Ite
                 raise error
 
         def spilled() -> Iterator[str]:
-            check(audited=True)
+            check(reported=True)
             spill.seek(0)
             yield from iter(lambda: spill.read(1 << 16), "")
 
         try:
-            own = surface._audited_rows(eos, xs, ts[:half])
-            check(audited=False)
+            own = surface._checked_rows(eos, xs, ts[:half])
+            check(reported=False)
             yield chain([head], surface._rows_text(layout, ts[:half], own, 0), spilled(), [tail])
         finally:
             if status is None:

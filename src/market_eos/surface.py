@@ -4,27 +4,18 @@ Works with any equation of state exposing the shared contract: the
 market surface, the ideal gas and the Curie paramagnet.
 
 - ``axis_labels()`` names the x, y and t axes.
-- ``y_of(x, t)`` is the closed form at one point. It raises
-  ``DomainError`` outside the domain, which is a condition on x and a
-  condition on t. It leaves out points whose hoisted constant
-  (``n*R*t``, ``D/mu0``, ``K*x``) is subnormal: the audit below would
-  compare against that same constant and miss the bits it lost.
-- ``rows(xs, ts)`` yields, per t, the closed form over ``xs`` with its
-  constants hoisted and the same bits as ``y_of``, plus the two sides of
-  the implicit form ``y * w == r`` each y satisfies: ``P * V = n*R*T``,
-  ``M * T = (D/mu0) * B0`` and ``q_d * Pr = K * Q_s``.
+- ``rows(xs, ts)`` yields, per t, the list of y over ``xs``: ``n*R*t/x``,
+  ``(D/mu0)*(x/t)`` or ``K*x/t``, evaluated as if the exponent range
+  had no limit, so each y is within 3 (gas, magnet) or 2 (market)
+  rounding errors of the exact value wherever it is normal.
+- ``y_of(x, t)`` is ``rows`` at one point. It raises ``DomainError``
+  outside the domain, which is a condition on x and a condition on t.
 
 Sampling checks the domain once per axis value, then evaluates one row
-at a time. Every point is audited against its implicit form, which does
-not repeat the division that produced y: ``|y*w - r|`` must be at most
-``AUDIT_EPS`` machine epsilons of ``|r|`` plus ``AUDIT_EPS`` subnormal
-ULPs. A product that overflows while y is finite is compared again
-with x and t scaled down by the overflow excess, a power of two, which
-every surface allows: each depends on x and t only through their ratio.
-A non-finite y, a subnormal y, a zero y where x is not zero (each
-surface is zero exactly where x is, so that y underflowed), and a grid
-of more than ``MAX_GRID_POINTS`` points are rejected. Errors name the
-first failing point in (t, x) order.
+at a time and checks each y: a non-finite y, a subnormal y, a zero y
+where x is not zero (each surface is zero exactly where x is, so that y
+underflowed), and a grid of more than ``MAX_GRID_POINTS`` points are
+rejected. Errors name the first failing point in (t, x) order.
 
 Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
@@ -32,9 +23,9 @@ CSV or JSON, byte-deterministic for a given grid, and built one t row
 at a time from one layout per format: ``render_chunks`` yields text
 chunks, one per row, for a writer to take as they come. For a large
 surface ``split_export`` gives the same chunks made by two processes:
-each samples, audits and renders half of the rows, through
+each samples, checks and renders half of the rows, through
 ``market_eos.split``, which only a split imports, and nothing is
-yielded until both halves have passed their audit. An iso-curve family
+yielded until both halves have passed their check. An iso-curve family
 is exported by one process at every size. Only the sampled grid, half
 of it in each process of a split, and a row are held: a 2000 x 2000
 gas export peaks near 92 MB (peak RSS, 2-vCPU VM, Python 3.11), 168 MB
@@ -57,12 +48,6 @@ from .equilibrium import PER_HOUSEHOLD, MarketSpec
 from .errors import DomainError, InvariantError
 from .record import Record, set_field
 
-# Audit bound in machine epsilons (relative) and subnormal ULPs
-# (absolute). Rounding leaves at most about two epsilons between the
-# sides of an implicit form; a y 64 ULP off is at least 32 epsilons off.
-AUDIT_EPS = 4
-_AUDIT_REL = AUDIT_EPS * sys.float_info.epsilon
-_AUDIT_ABS = AUDIT_EPS * math.ulp(0.0)
 _DBL_MIN = sys.float_info.min
 
 # Largest number of points a surface grid or an iso-curve family may
@@ -155,46 +140,18 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _row_passes(xs: list[float], ys: list[float], ws: list[float], rs: list[float],
-                bounds: list[float] | None = None) -> bool:
-    """Every y is normal, or zero where its x is, and every ``y * w`` is within the audit bound of ``r``.
+def _row_passes(xs: list[float], ys: list[float]) -> bool:
+    """Every y is finite and normal, or zero where its x is (each surface is zero exactly where x is).
 
-    Each surface is zero exactly where x is, so a zero y anywhere else
-    has underflowed. Written so that a NaN anywhere fails it. The scan
-    for small y is skipped when every y is normal and of one sign, and
-    the audit lists its failures, which runs faster than ``all`` over a
-    generator. ``bounds``, if given, holds each r's bound, computed once
-    for a list of right-hand sides that many rows share.
+    A NaN or an infinity makes the sum non-finite, as does a sum that
+    overflows; such a row is then checked point by point. The scan for
+    small y is skipped when every y is normal and of one sign.
     """
-    one_signed_normal = min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN
-    if not one_signed_normal and any(abs(y) < _DBL_MIN and (y or x) for x, y in zip(xs, ys)):
+    if not math.isfinite(sum(ys)):
         return False
-    if bounds is None:
-        return not [y for y, w, r in zip(ys, ws, rs) if not abs(y * w - r) <= _AUDIT_REL * abs(r) + _AUDIT_ABS]
-    return not [y for y, w, r, bound in zip(ys, ws, rs, bounds) if not abs(y * w - r) <= bound]
-
-
-def _audit_point(eos, x: float, y: float, t: float, w: float, r: float) -> None:
-    """Raise unless y is finite, normal or zero where x is, and on its implicit form ``y * w == r``."""
-    if not math.isfinite(y):
-        raise DomainError(f"grid point (x={x}, t={t}) gives non-finite y={y}")
-    if _row_passes([x], [y], [w], [r]):
-        return
-    if abs(y) < _DBL_MIN and (y or x):
-        raise DomainError(f"grid point (x={x}, t={t}) underflows: y={y} is below the smallest normal double")
-    if math.isinf(y * w) or math.isinf(r):
-        # y depends on x/t alone, so scaling both by 2**-k keeps y and
-        # scales each side exactly. k is the overflow excess of y * w,
-        # small enough that the scaled x and t stay normal.
-        k = max(1, math.frexp(y)[1] + math.frexp(w)[1] - 1022)
-        x_k, t_k = math.ldexp(x, -k), math.ldexp(t, -k)
-        [(ys, ws, rs)] = eos.rows([x_k], [t_k])
-        if ys == [y] and _row_passes([x_k], ys, ws, rs):
-            return
-    raise InvariantError(
-        f"emitted point (x={x}, t={t}, y={y}) fails its residual audit: "
-        f"the implicit form gives {y * w!r} against {r!r}"
-    )
+    if min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN:
+        return True
+    return not any(abs(y) < _DBL_MIN and (y or x) for x, y in zip(xs, ys))
 
 
 def _first_outside(eos, points) -> tuple[int | None, DomainError | None]:
@@ -231,25 +188,25 @@ def _checked_axes(eos, xs: list[float], ts: list[float]) -> tuple[list[float], l
     return xs[:stop], ts[:1] if stop else [], outside
 
 
-def _audited_rows(eos, xs: list[float], ts: list[float]) -> list[tuple[float, ...]]:
-    """One tuple of audited y values per t over ``xs``, every point inside the domain."""
-    y_rows, last_rs, bounds = [], None, None
-    for t, (ys, ws, rs) in zip(ts, eos.rows(xs, ts)):
-        if rs is not last_rs:
-            last_rs, bounds = rs, None
-        elif bounds is None:  # met again: the market and the magnet yield one right-hand side list for every row
-            bounds = [_AUDIT_REL * abs(r) + _AUDIT_ABS for r in rs]
-        if not _row_passes(xs, ys, ws, rs, bounds):
-            for x, y, w, r in zip(xs, ys, ws, rs):
-                _audit_point(eos, x, y, t, w, r)
+def _checked_rows(eos, xs: list[float], ts: list[float]) -> list[tuple[float, ...]]:
+    """One tuple of checked y values per t over ``xs``, every point inside the domain."""
+    y_rows = []
+    for t, ys in zip(ts, eos.rows(xs, ts)):
+        if not _row_passes(xs, ys):
+            for x, y in zip(xs, ys):
+                if not math.isfinite(y):
+                    raise DomainError(f"grid point (x={x}, t={t}) gives non-finite y={y}")
+                if abs(y) < _DBL_MIN and (y or x):
+                    raise DomainError(
+                        f"grid point (x={x}, t={t}) underflows: y={y} is below the smallest normal double")
         y_rows.append(tuple(ys))
     return y_rows
 
 
 def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ...], ...]:
-    """One tuple of audited y values per t, in x order; errors name the first failing point in (t, x) order."""
+    """One tuple of checked y values per t, in x order; errors name the first failing point in (t, x) order."""
     xs, ts, outside = _checked_axes(eos, xs, ts)
-    y_rows = _audited_rows(eos, xs, ts)
+    y_rows = _checked_rows(eos, xs, ts)
     if outside is not None:
         raise outside
     return tuple(y_rows)
@@ -259,7 +216,7 @@ def sample_surface(eos, grid: GridSpec) -> SurfaceGrid:
     """Evaluate the surface closed form at every grid point.
 
     Ordering is deterministic (t outer, x inner) and every emitted
-    point is audited against the surface's implicit form.
+    y is finite, and normal or zero where x is.
     """
     xs, ts = grid.x_values(), grid.t_values()
     return SurfaceGrid(*eos.axis_labels(), tuple(xs), tuple(ts), _sample_rows(eos, xs, ts))
@@ -452,18 +409,18 @@ def render_chunks(obj: SurfaceGrid | IsocurveFamily, format: str) -> Iterator[st
 
 
 def split_export(eos, grid: GridSpec, format: str) -> AbstractContextManager[Iterator[str] | None]:
-    """Sample, audit and render the surface of ``eos`` on ``grid`` in two processes.
+    """Sample, check and render the surface of ``eos`` on ``grid`` in two processes.
 
     Returns a context manager whose value is the chunks of
     ``render_chunks(sample_surface(eos, grid), format)``, or None where
     one process exports the grid: where ``os.fork`` is missing, another
     Python thread runs or the grid has fewer than ``SPLIT_POINTS``
     points, and where a point lies outside the domain, so that
-    ``sample_surface`` audits the points before it and names the first
+    ``sample_surface`` checks the points before it and names the first
     failing one. Otherwise the call checks the axes and the domain, and
-    entering the context forks: this process samples and audits rows
+    entering the context forks: this process samples and checks rows
     ``[:n//2]`` while a child does rows ``[n//2:]`` (``split.forked``).
-    Entering returns only once both halves have passed their audit, and
+    Entering returns only once both halves have passed their check, and
     this process's error comes first, as its rows do. The child's error
     comes as a pickled report, and its rows once it has exited 0.
     """

@@ -26,7 +26,7 @@ def forks(monkeypatch):
 def failing_child(monkeypatch):
     """``arm(error, stage)`` makes a split export's forked child raise ``error`` at ``stage``.
 
-    The stage is where the child samples and audits its rows (``"_audited_rows"``) or where it
+    The stage is where the child samples and checks its rows (``"_checked_rows"``) or where it
     renders them (``"_rows_text"``); this process runs the stage as before.
     """
     parent = os.getpid()

@@ -12,6 +12,7 @@ import re
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from market_eos import (
+    ConfigError,
     CurieParamagnetEoS,
     DomainError,
     GridSpec,
@@ -35,6 +37,7 @@ from market_eos import (
 )
 
 import market_eos.surface as surface_module
+from grid_oracles import exact_y
 from packaged_schemas import load_schema
 
 CONFIG = {
@@ -524,7 +527,7 @@ BOTH_HALVES_FAIL = dict(CHILD_HALF_FAILS, x_min=5.5e-08)
 @needs_fork
 @pytest.mark.parametrize("to_file", [True, False])
 @pytest.mark.parametrize("grid, first_failing_row", [(CHILD_HALF_FAILS, 192), (BOTH_HALVES_FAIL, 49)])
-def test_an_audit_failure_in_either_half_exits_3_as_in_one_process(config_path, tmp_path, capsys, forks, grid,
+def test_a_check_failure_in_either_half_exits_3_as_in_one_process(config_path, tmp_path, capsys, forks, grid,
                                                                    first_failing_row, to_file):
     out_file = tmp_path / "export.csv"
     argv = ["surface", "--config", config_path, "gas", *grid_options(grid)] + (["--out", str(out_file)] * to_file)
@@ -539,12 +542,11 @@ def test_an_audit_failure_in_either_half_exits_3_as_in_one_process(config_path, 
 @needs_fork
 @pytest.mark.parametrize("error, message", [
     (MemoryError(), "out of memory (grid or input too large)"),
-    (InvariantError("emitted point fails its residual audit"), "emitted point fails its residual audit"),
     (DomainError("grid point underflows"), "grid point underflows"),
 ])
 def test_a_child_that_fails_while_sampling_exits_3_and_writes_nothing(split_config, tmp_path, capsys, forks,
                                                                       failing_child, error, message):
-    failing_child(error, "_audited_rows")
+    failing_child(error, "_checked_rows")
     out_file = tmp_path / "export.csv"
     code, out, err = run(capsys, "surface", "--config", split_config, "gas", "--out", str(out_file))
     assert (code, out, err) == (3, "", f"error: {message}\n")
@@ -554,7 +556,7 @@ def test_a_child_that_fails_while_sampling_exits_3_and_writes_nothing(split_conf
 
 @needs_fork
 def test_a_bug_in_a_sampling_child_is_a_runtime_error(split_config, forks, failing_child):
-    failing_child(ValueError("a bug"), "_audited_rows")
+    failing_child(ValueError("a bug"), "_checked_rows")
     with pytest.raises(RuntimeError, match="exited 1$"):
         cli.main(["surface", "--config", split_config, "gas"])
     assert len(forks) == 1
@@ -570,22 +572,26 @@ def test_an_out_path_that_cannot_be_opened_exits_4_with_the_child_reaped(split_c
     assert not out_file.parent.exists()
 
 
-# The credit market's surface (K = 1) over a Q_s axis whose point 100, -4.97342764e-316, is subnormal: K*x leaves
-# the domain there. At prices from 1e10 the demand at the first point, -1e-310, underflows before it.
+# The credit market's surface (K = 1) over a Q_s axis whose point 100, -4.97342764e-316, is subnormal: its demand
+# underflows there. At prices from 1e10 the demand at the first point, -1e-310, underflows before it. Both grids lie
+# inside the market's domain, so both are split; the gas's domain leaves out the first volume, -1e-300.
 SUBNORMAL_X = dict(x_min=-1e-300, x_max=1.5499999999999985e-300, nx=256, t_min=1.0, t_max=2.0, nt=256)
 
 
-@pytest.mark.parametrize("grid, first_failing", [
-    (SUBNORMAL_X, "(x=-4.97342764e-316, t=1.0) outside the surface domain"),
-    (dict(SUBNORMAL_X, t_min=1e10, t_max=2e10), "(x=-1e-300, t=10000000000.0) underflows"),
+@needs_fork
+@pytest.mark.parametrize("name, grid, first_failing, n_forks", [
+    ("credit", SUBNORMAL_X, "(x=-4.97342764e-316, t=1.0) underflows", 1),
+    ("credit", dict(SUBNORMAL_X, t_min=1e10, t_max=2e10), "(x=-1e-300, t=10000000000.0) underflows", 1),
+    ("gas", SUBNORMAL_X, "(x=-1e-300, t=1.0) outside the surface domain", 0),
 ])
-def test_a_split_sized_grid_outside_the_domain_names_its_first_failing_point(config_path, capsys, forks, grid,
-                                                                              first_failing):
-    code, out, err = run(capsys, "surface", "--config", config_path, "credit", *grid_options(grid))
-    eos = derive_unitary_eos(load_config(config_path).markets["credit"])
+def test_a_split_sized_grid_names_its_first_failing_point(config_path, capsys, forks, name, grid, first_failing,
+                                                         n_forks):
+    code, out, err = run(capsys, "surface", "--config", config_path, name, *grid_options(grid))
+    cfg = load_config(config_path)
+    eos = cfg.eos_entities[name] if name == "gas" else derive_unitary_eos(cfg.markets[name])
     assert (code, out, err) == (3, "", one_process_error(eos, grid))
     assert f"error: grid point {first_failing}" in err
-    assert forks == []  # one process samples a grid with a point outside the domain
+    assert len(forks) == n_forks  # one process samples a grid with a point outside the domain
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -619,7 +625,7 @@ def test_split_export_to_a_reader_that_closes_early_exits_0_and_leaves_no_proces
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "market_eos.cli", "surface", "--config", str(path), "gas"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"x,t,y\n"  # written once both halves have passed their audit
+        assert proc.stdout.readline() == b"x,t,y\n"  # written once both halves have passed their check
         proc.stdout.close()
         code = proc.wait(timeout=60)
         # a child left running would still render its rows now, with the same command line
@@ -645,8 +651,7 @@ def test_surface_grid_over_the_point_limit_exits_2(config_path, capsys):
     [(1e307, 1.7e308, 4.0, 8.0), (1e307, 1.7e308, 2.0, 4.0), (9e307, 1.1e308, 1.25, 4.0)],
 )
 def test_surface_near_the_largest_double_exports_every_point(config_path, capsys, tmp_path, x_min, x_max, t_min, t_max):
-    # M*T and (D/mu0)*B0 overflow wherever B0 > DBL_MAX/2 while M stays finite; below t = 4
-    # the audit's rescaled t must stay a normal double to keep every bit of M
+    # M stays finite near the largest double, where M*T and (D/mu0)*B0 overflow wherever B0 > DBL_MAX/2
     out_file = tmp_path / "magnet.csv"
     bounds = ["--x-min", repr(x_min), "--x-max", repr(x_max), "--t-min", repr(t_min), "--t-max", repr(t_max)]
     code, _, _ = run(
@@ -676,8 +681,9 @@ def test_surface_subnormal_point_exits_3_and_writes_nothing(config_path, capsys,
     assert not out_file.exists()
 
 
-def test_surface_subnormal_hoisted_constant_exits_3(tmp_path, capsys):
-    # n*R*t = 1.1e-311 is subnormal, so y = n*R*t/x would be 636 epsilons off while on its implicit form
+def test_surface_with_a_subnormal_intermediate_exports_every_point(tmp_path, capsys):
+    # n*R*t = 1.1e-311 is subnormal, while P = n*R*t/V is normal: the same operations on t and V scaled by 2**200
+    # keep every intermediate normal and give its bits
     path = tmp_path / "gas.json"
     gas = {"name": "gas", "kind": "ideal_gas", "n": 1.37}
     path.write_text(json.dumps({"version": "1", "eos": [gas]}), encoding="utf-8")
@@ -685,9 +691,11 @@ def test_surface_subnormal_hoisted_constant_exits_3(tmp_path, capsys):
         capsys, "surface", "--config", str(path), "gas", "--x-min", "1e-300", "--x-max", "2e-300",
         "--t-min", "1e-312", "--t-max", "2e-312", "--nx", "2", "--nt", "2",
     )
-    assert code == 3
-    assert out == ""
-    assert "grid point (x=1e-300, t=1e-312) outside the surface domain: n*R*t = " in err
+    assert (code, err) == (0, "")
+    scale = 2.0**200
+    assert out == "x,t,y\n" + "".join(
+        f"{x:.17g},{t:.17g},{1.37 * 8.314 * (t * scale) / (x * scale):.17g}\n"
+        for t in (1e-312, 2e-312) for x in (1e-300, 2e-300))
 
 
 def test_surface_writes_file(config_path, capsys, tmp_path):
@@ -1112,6 +1120,44 @@ def contract_commands(draw) -> list[str]:
     }[command]
 
 
+def exact_ys_are_normal(path, command: list[str]) -> bool:
+    """Whether every point of a ``surface`` or ``isocurves`` command lies inside the domain of a surface the config
+    defines, with every exact y zero where x is, or of a magnitude in ``[2 * DBL_MIN, DBL_MAX / 2]``."""
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return False
+    args = cli.build_parser().parse_args([command[0], "--config", str(path), *command[1:]])
+    eos = cfg.eos_entities.get(args.name)
+    if eos is None:
+        try:
+            eos = derive_unitary_eos(cfg.markets[args.name])
+        except (DomainError, InvariantError):
+            return False
+
+    def value(key):
+        return getattr(cfg.grid, key) if getattr(args, key) is None else getattr(args, key)
+
+    try:
+        if command[0] == "surface":
+            grid = GridSpec(*(value(key) for key in ("x_min", "x_max", "nx", "t_min", "t_max", "nt")))
+            xs, ts = grid.x_values(), grid.t_values()
+        else:
+            xs = GridSpec(value("x_min"), value("x_max"), args.points, 1.0, 2.0, 2).x_values()
+            ts = [float(t) for t in args.t_values.split(",")]
+    except InvariantError:
+        return False
+    low, high = 2 * Fraction(sys.float_info.min), Fraction(sys.float_info.max) / 2
+    for t in ts:
+        for x in xs:
+            if not (math.isfinite(x) and t > 0 and (x > 0 or not isinstance(eos, IdealGasEoS))):
+                return False
+            y = abs(exact_y(eos, x, t))
+            if not (low <= y <= high or y == x == 0):
+                return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def contract_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
@@ -1137,6 +1183,10 @@ def contract_config(**unitary) -> dict:
 @example(config=dict(CONFIG, markets=[
     {"name": "lin", "family": "linear", "k_s": -2.2250738585072014e-308, "q_d0": 1.7976931348623157e308, "k_d": 3.0}]),
     command=["solve", "lin", "--json"])
+# x/t = 1e-310 is subnormal, while M = 1e300 * x/t = 1e-10 is normal: the export must succeed
+@example(config=dict(CONFIG, eos=[CONFIG["eos"][0], {"name": "magnet", "kind": "paramagnet", "D": 1e300}],
+                     grid={"x_min": 1e-10, "x_max": 2e-10, "nx": 2, "t_min": 1e300, "t_max": 2e300, "nt": 2}),
+         command=["surface", "magnet"])
 @settings(max_examples=100, deadline=None)
 @given(config=contract_configs(), command=contract_commands())
 def test_every_command_exits_with_a_documented_code_and_prints_nothing_non_finite(contract_dir, config, command):
@@ -1146,6 +1196,8 @@ def test_every_command_exits_with_a_documented_code_and_prints_nothing_non_finit
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command[0], "--config", str(path), *command[1:]])
     assert code in (0, 2, 3, 4), err.getvalue()
+    if command[0] in ("surface", "isocurves") and exact_ys_are_normal(path, command):
+        assert code == 0, err.getvalue()
     if code:
         assert out.getvalue() == ""
     else:

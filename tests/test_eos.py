@@ -122,13 +122,10 @@ def test_derive_rejects_non_finite_surface_constant(monkeypatch):
         derive_unitary_eos(huge)
 
 
-def test_eos_residual_hand_values():
+def test_eos_rows_hand_values():
     eos = derive_unitary_eos(unitary_market(8.0, 2.0, 4))  # K = 1
-    # rows yields (q_d, Pr, K * Q_s) per point, with q_d * Pr == K * Q_s
-    assert list(eos.rows([8.0, 0.0], [4.0, 1.0])) == [
-        ([2.0, 0.0], [4.0, 4.0], [8.0, 0.0]),
-        ([8.0, 0.0], [1.0, 1.0], [8.0, 0.0]),
-    ]
+    # rows yields the demands q_d = K * Q_s / Pr over Q_s, one list per price
+    assert list(eos.rows([8.0, 0.0], [4.0, 1.0])) == [[2.0, 0.0], [8.0, 0.0]]
     assert (eos.y_of(8.0, 4.0), eos.y_of(0.0, 1.0)) == (2.0, 0.0)
 
 

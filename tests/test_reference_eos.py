@@ -78,23 +78,19 @@ def test_curie_invariants():
         CurieParamagnetEoS(D=1.0).y_of(1.0, 0.0)
 
 
-def test_surface_residual_hand_values():
-    # rows yields (y, w, r) per point, with y * w == r the implicit form
-    [(ps, vs, nrts)] = IdealGasEoS(n=1.0).rows([0.024], [300.0])
+def test_surface_rows_hand_values():
+    # rows yields one list of y values per t
+    [ps] = IdealGasEoS(n=1.0).rows([0.024], [300.0])
     assert abs(ps[0] - 103925.0) <= 0.5
-    assert (vs, nrts) == ([0.024], [8.314 * 300.0])
-    assert list(CurieParamagnetEoS(D=1.0).rows([0.0], [1.0])) == [([0.0], [1.0], [0.0])]
+    assert list(CurieParamagnetEoS(D=1.0).rows([0.0], [1.0])) == [[0.0]]
 
 
-def test_residual_coherent_with_specific_ops():
+def test_rows_coherent_with_specific_ops():
     gas = IdealGasEoS(n=2.0, R=8.314)
     v, t = 0.031, 412.0
-    [(ps, vs, nrts)] = gas.rows([v], [t])
-    assert ps == [gas.y_of(v, t)]
-    assert (vs, nrts) == ([v], [2.0 * 8.314 * t])
-    assert abs(ps[0] * v - nrts[0]) <= 2 * math.ulp(nrts[0])
+    assert list(gas.rows([v], [t])) == [[gas.y_of(v, t)]] == [[2.0 * 8.314 * t / v]]
     mag = CurieParamagnetEoS(D=2.0, mu0=0.5)
-    assert list(mag.rows([3.0], [6.0])) == [([mag.y_of(3.0, 6.0)], [6.0], [12.0])]
+    assert list(mag.rows([3.0], [6.0])) == [[mag.y_of(3.0, 6.0)]]
     assert mag.y_of(3.0, 6.0) == 2.0
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import struct
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from market_eos import (
     MarketSpec,
     SurfaceGrid,
     UnitaryDemand,
+    UnitaryEoS,
     derive_unitary_eos,
     family_collapse,
     isocurves,
@@ -32,9 +34,9 @@ from market_eos import (
     sample_surface,
 )
 import market_eos.surface as surface_module
-from market_eos.surface import AUDIT_EPS, MAX_GRID_POINTS
+from market_eos.surface import MAX_GRID_POINTS
 
-from grid_oracles import curves, document, points
+from grid_oracles import curves, document, exact_y, points
 from packaged_schemas import load_schema
 
 UNIT_EOS = derive_unitary_eos(
@@ -309,7 +311,7 @@ def test_a_child_killed_while_rendering_raises_with_its_exit_status(split_all, m
     parent, render = os.getpid(), surface_module._rows_text
 
     def killed_in_the_child(*args):
-        if os.getpid() != parent:  # after the child's audit report
+        if os.getpid() != parent:  # after the child's check report
             os.kill(os.getpid(), signal.SIGKILL)
         return render(*args)
 
@@ -372,23 +374,7 @@ def test_isocurve_argument_errors():
         isocurves(UNIT_EOS, [], (1.0, 5.0), 4)
 
 
-class _RowOffBy64Ulp(IdealGasEoS):
-    """A surface whose closed-form rows are 64 ULP above the implicit form they report."""
-
-    def rows(self, xs, ts):
-        for ys, ws, rs in super().rows(xs, ts):
-            yield [y + 64 * math.ulp(y) for y in ys], ws, rs
-
-
-class _NanImplicitForm(IdealGasEoS):
-    """A surface whose implicit form is NaN: an audit written as ``gap > bound`` passes it."""
-
-    def rows(self, xs, ts):
-        for ys, ws, rs in super().rows(xs, ts):
-            yield ys, ws, [math.nan] * len(rs)
-
-
-def test_non_finite_points_fail_the_audit():
+def test_non_finite_points_are_rejected():
     # y = n R t / x overflows to inf on every point of this grid
     grid = GridSpec(x_min=1e-320, x_max=1e-300, nx=2, t_min=1e300, t_max=1e308, nt=2)
     with pytest.raises(DomainError, match=r"grid point \(x=1e-320, t=1e\+300\) gives non-finite y=inf"):
@@ -399,9 +385,6 @@ def test_non_finite_points_fail_the_audit():
         sample_surface(CurieParamagnetEoS(D=1.0), wide)
     with pytest.raises(DomainError, match="grid t value nan is not finite"):
         isocurves(IdealGasEoS(), [300.0, float("nan")], (0.01, 0.1), 4)
-    for surface in (_RowOffBy64Ulp(), _NanImplicitForm()):
-        with pytest.raises(InvariantError, match="fails its residual audit"):
-            sample_surface(surface, GRID_2X2)
 
 
 def test_subnormal_points_are_rejected_even_when_exact():
@@ -432,28 +415,33 @@ def test_errors_name_the_first_failing_point_for_unsorted_t_values():
         isocurves(magnet, [2.0, -1.0, 1.0], (1.0, 1.7e308), 2)
     with pytest.raises(DomainError, match=r"grid point \(x=10000000000\.0, t=1e-290\) underflows"):
         isocurves(IdealGasEoS(n=1e-10), [1e-290, 1.0, 0.0], (1e-300, 1e10), 2)
-    with pytest.raises(DomainError, match=r"grid point \(x=1e-300, t=1e-300\) outside .*: n\*R\*t = 8\.314e-310"):
+    # n*R*t = 8.314e-310 is subnormal, but y = 8.314e-10 at the first point is not: the second point underflows
+    with pytest.raises(DomainError, match=r"grid point \(x=1\.0, t=1e-300\) underflows: y=8\.314e-310"):
         isocurves(IdealGasEoS(n=1e-10), [1e-300, 1.0, 0.0], (1e-300, 1.0), 2)
 
 
-def test_points_with_a_subnormal_hoisted_constant_are_rejected():
-    # the audit compares y * w against the rounded constant itself, so it cannot see the bits it lost
+def test_points_whose_intermediate_leaves_the_normal_range_export_the_unbounded_exponent_value():
+    # each intermediate is subnormal or overflows while every y is normal; the reference runs the same float
+    # operations on inputs scaled by S, exactly, so that every intermediate is normal
+    S = 2.0**200
     cases = [
         (IdealGasEoS(n=1.37), GridSpec(x_min=1e-300, x_max=2e-300, nx=2, t_min=1e-312, t_max=2e-312, nt=2),
-         r"grid point \(x=1e-300, t=1e-312\) outside the surface domain: n\*R\*t = 1\.13901\d*e-311 is below"),
-        (CurieParamagnetEoS(D=1e-300, mu0=1e10), GRID_2X2,
-         r"grid point \(x=1\.0, t=1\.0\) outside the surface domain: D/mu0 = 1e-310 is below"),
-        (UNIT_EOS, GridSpec(x_min=1e-310, x_max=1e-300, nx=2, t_min=1e-320, t_max=1e-310, nt=2),
-         r"grid point \(x=1e-310, t=1e-320\) outside the surface domain: K\*x = 1e-310 is below"),
-        # n*R*t is normal, but its factor n*R is subnormal and has lost bits
+         lambda x, t: 1.37 * 8.314 * (t * S) / (x * S)),  # n*R*t is subnormal
         (IdealGasEoS(n=1.37e-320), GridSpec(x_min=1.0, x_max=2.0, nx=2, t_min=1e300, t_max=2e300, nt=2),
-         r"grid point \(x=1\.0, t=1e\+300\) outside the surface domain: n\*R = 1\.139\d*e-319 is below"),
+         lambda x, t: 1.37e-320 * S * 8.314 * t / x / S),  # n*R is subnormal, n*R*t is normal
+        (IdealGasEoS(n=1e300), GridSpec(x_min=1e100, x_max=2e100, nx=2, t_min=1e10, t_max=2e10, nt=2),
+         lambda x, t: 1e300 / S * 8.314 * t / x * S),  # n*R*t overflows
+        (CurieParamagnetEoS(D=1e-300, mu0=1e10), GridSpec(x_min=1e10, x_max=2e10, nx=2, t_min=1.0, t_max=2.0, nt=2),
+         lambda x, t: 1e-300 * S / 1e10 * (x / t) / S),  # D/mu0 is subnormal
+        (CurieParamagnetEoS(D=1e300), GridSpec(x_min=1e-10, x_max=2e-10, nx=2, t_min=1e300, t_max=2e300, nt=2),
+         lambda x, t: 1e300 * (x * S / t) / S),  # x/t is subnormal
+        (UNIT_EOS, GridSpec(x_min=1e-310, x_max=1e-300, nx=2, t_min=1e-320, t_max=1e-310, nt=2),
+         lambda x, t: UNIT_EOS.K * (x * S) / (t * S)),  # K*x is subnormal
     ]
-    for eos, grid, message in cases:
-        with pytest.raises(DomainError, match=message):
-            sample_surface(eos, grid)
-        with pytest.raises(DomainError, match=message):
-            isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx)
+    for eos, grid, reference in cases:
+        expected = _bits([reference(x, t) for x in grid.x_values()] for t in grid.t_values())
+        assert _bits(sample_surface(eos, grid).y_rows) == expected
+        assert _bits(isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx).y_rows) == expected
 
 
 def _per_point_csv(header, rows):
@@ -467,12 +455,15 @@ def _scale(exponent):
     return st.floats(min_value=1.0, max_value=9.99).map(lambda m: max(m * 10.0**exponent, 5e-324))
 
 
+_FIXED_SURFACES = st.sampled_from([IdealGasEoS(n=1.37), CurieParamagnetEoS(D=2.5, mu0=1.3), UNIT_EOS])
+
+
 @st.composite
-def _exponent_form_grids(draw):
-    """A surface of one of the three kinds on a grid whose values print in
+def _exponent_form_grids(draw, surfaces=_FIXED_SURFACES):
+    """A surface drawn from ``surfaces`` on a grid whose values print in
     exponent form (1e-05, 1e+16, subnormals). t stays within 16 decades
-    of x, so y = c * x**a * t**b stays finite for all three."""
-    eos = draw(st.sampled_from([IdealGasEoS(n=1.37), CurieParamagnetEoS(D=2.5, mu0=1.3), UNIT_EOS]))
+    of x, so y = c * x**a * t**b stays normal for each fixed surface."""
+    eos = draw(surfaces)
     x_min = draw(st.sampled_from([5e-324, 1e-310, 1e-05, 1e16]) | _scale(draw(st.integers(-323, 16))))
     t_min = draw(st.sampled_from([1e-05, 1e16]) | _scale(draw(st.integers(-323, 16))))
     t_min = max(5e-324, x_min * 1e-16, min(t_min, x_min * 1e16))
@@ -487,29 +478,9 @@ def _exponent_form_grids(draw):
     return eos, grid
 
 
-def _subnormal_constant_rejected(eos, grid) -> bool:
-    """Whether some grid point's hoisted constant is subnormal; if so, both samplers must reject it."""
-    if isinstance(eos, IdealGasEoS):
-        constants = [eos.n * eos.R * t for t in grid.t_values()]
-    elif isinstance(eos, CurieParamagnetEoS):
-        constants = [eos.D / eos.mu0]
-    else:
-        constants = [eos.K * x for x in grid.x_values()]
-    if not any(0 < abs(c) < sys.float_info.min for c in constants):
-        return False
-    message = r"outside the surface domain: (n\*R\*t|D/mu0|K\*x) = .* is below the smallest normal double"
-    with pytest.raises(DomainError, match=message):
-        sample_surface(eos, grid)
-    with pytest.raises(DomainError, match=message):
-        isocurves(eos, grid.t_values(), (grid.x_min, grid.x_max), grid.nx)
-    return True
-
-
 @given(_exponent_form_grids())
 def test_renderers_match_stdlib_and_per_point_reference(case):
     eos, grid = case
-    if _subnormal_constant_rejected(eos, grid):
-        return
     sampled = sample_surface(eos, grid)
     assert export(sampled, "json") == json.dumps(document(sampled), indent=2) + "\n"
     assert export(sampled, "csv") == _per_point_csv("x,t,y", points(sampled))
@@ -522,8 +493,6 @@ def test_renderers_match_stdlib_and_per_point_reference(case):
 @given(_exponent_form_grids())
 def test_rows_match_per_point_closed_form(case):
     eos, grid = case
-    if _subnormal_constant_rejected(eos, grid):
-        return
     xs, ts = grid.x_values(), grid.t_values()
     reference = _bits([eos.y_of(x, t) for x in xs] for t in ts)
     assert _bits(sample_surface(eos, grid).y_rows) == reference
@@ -534,26 +503,45 @@ def _bits(rows):
     return [[y.hex() for y in ys] for ys in rows]
 
 
-def _exact_y(eos, x, t):
-    """y at (x, t) in exact rational arithmetic on the float constants and coordinates."""
-    x, t = Fraction(x), Fraction(t)
-    if isinstance(eos, IdealGasEoS):
-        return Fraction(eos.n) * Fraction(eos.R) * t / x
-    if isinstance(eos, CurieParamagnetEoS):
-        return Fraction(eos.D) / Fraction(eos.mu0) * x / t
-    return Fraction(eos.K) * x / t
+# every positive finite double, each binary exponent equally likely, subnormals included
+positive_doubles = st.builds(
+    lambda exponent, fraction: struct.unpack("<d", struct.pack("<Q", exponent << 52 | fraction))[0],
+    st.integers(0, 2046), st.integers(0, 2**52 - 1)).filter(bool)
+any_constant_surfaces = st.one_of(
+    st.builds(IdealGasEoS, n=positive_doubles, R=positive_doubles),
+    st.builds(CurieParamagnetEoS, D=positive_doubles, mu0=positive_doubles),
+    st.builds(UnitaryEoS, K=positive_doubles, source_market=st.just(UNIT_EOS.source_market)),
+)
+# Rounded operations in each closed form, each within 2**-53 of its exact value: n*R, *t, /x; D/mu0, x/t, *; K*x, /t
+ROUNDINGS = {IdealGasEoS: 3, CurieParamagnetEoS: 3, UnitaryEoS: 2}
 
 
-# n*R*t is subnormal here: y = n*R*t/x is 636 epsilons off while y * x matches the rounded n*R*t
-@example((IdealGasEoS(n=1.37), GridSpec(x_min=1e-300, x_max=2e-300, nx=2, t_min=1e-312, t_max=2e-312, nt=2)))
-@given(_exponent_form_grids())
-def test_exported_values_are_within_the_audit_bound_of_the_exact_value(case):
+def _grid(eos, x_min, t_min):
+    return eos, GridSpec(x_min=x_min, x_max=2 * x_min, nx=2, t_min=t_min, t_max=2 * t_min, nt=2)
+
+
+# x/t is subnormal
+@example(_grid(CurieParamagnetEoS(D=1e300), 1e-10, 1e300))
+# n*R*t overflows
+@example(_grid(IdealGasEoS(n=1e300, R=8.314), 1e100, 1e10))
+# x/t overflows
+@example(_grid(CurieParamagnetEoS(D=1e-300), 1e300, 1e-100))
+# n*R*t is subnormal
+@example(_grid(IdealGasEoS(n=1e-300, R=1.0), 1e-300, 1e-10))
+# K = 1e200, and K*x overflows
+@example(_grid(derive_unitary_eos(MarketSpec(demand=UnitaryDemand(k_s=1e300), supply=LinearSupply(k_d=1e-100),
+                                              households=1)), 1e200, 1e200))
+@given(_exponent_form_grids(any_constant_surfaces))
+def test_exported_values_are_within_their_rounding_bound_of_the_exact_value(case):
     eos, grid = case
+    exact = {(x, t): exact_y(eos, x, t) for t in grid.t_values() for x in grid.x_values()}
+    low, high = 2 * Fraction(sys.float_info.min), Fraction(sys.float_info.max) / 2
     try:
         sampled = sample_surface(eos, grid)
     except DomainError:
+        # the grid is positive, inside every domain: only a y outside the normal range is refused
+        assert not all(low <= y <= high for y in exact.values())
         return
-    rel, absolute = AUDIT_EPS * Fraction(sys.float_info.epsilon), AUDIT_EPS * Fraction(math.ulp(0.0))
+    bound = ROUNDINGS[type(eos)] * Fraction(1, 2**53)
     for x, t, y in points(sampled):
-        exact = _exact_y(eos, x, t)
-        assert abs(Fraction(y) - exact) <= rel * abs(exact) + absolute, (x, t, y)
+        assert abs(Fraction(y) - exact[x, t]) <= bound * exact[x, t], (x, t, y)
