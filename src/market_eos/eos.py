@@ -28,7 +28,7 @@ from .curves import LinearDemand, UnitaryDemand
 from .equilibrium import _DBL_MIN, PER_HOUSEHOLD, MarketSpec, _sqrt_quotient, clearing_price_analytic
 from .errors import DomainError, InvariantError
 from .record import Record, set_field
-from .reference_eos import _abs_range, _ldexp, _normal
+from .reference_eos import _abs_range, _ldexp, _normal, _positive
 
 # The derived identity K * N == Pr* is exact algebra; allow only float
 # rounding when checking it at construction.
@@ -54,27 +54,26 @@ class UnitaryEoS(Record):
 
     def y_of(self, x: float, t: float) -> float:
         """Per-household demand on the surface at supply x, price t."""
-        if t <= 0:
-            raise DomainError(f"price must be positive, got {t}")
         return next(self.rows([x], [t]))[0]
 
     def rows(self, xs: list[float], ts: list[float]) -> Iterator[list[float]]:
-        """Per t, the demands ``K*x / t`` over ``xs``; the caller checks the domain.
+        """Per t, the demands ``K*x / t`` over ``xs``.
 
-        ``K*x`` is computed once per call. Unless it is normal at the
-        smallest and largest nonzero ``|x|``, which makes every nonzero
-        ``K*x`` normal, every row takes the mantissa route, as the
-        reference surfaces do.
+        A ``t <= 0`` raises ``DomainError`` at ``(xs[0], t)``. ``K*x`` is
+        computed once per call. Unless it is normal at the smallest and
+        largest nonzero ``|x|``, which makes every nonzero ``K*x`` normal,
+        every row takes the mantissa route, as the reference surfaces do.
         """
         lo, hi = _abs_range(xs)
+        prices = _positive(xs, ts, "price")
         if _normal(self.K * lo) and _normal(self.K * hi):
             kx = [self.K * x for x in xs]
-            for t in ts:
+            for t in prices:
                 yield [v / t for v in kx]
         else:
             m_k, e_k = math.frexp(self.K)
             kx = [(m_k * m_x, e_k + e_x) for m_x, e_x in map(math.frexp, xs)]
-            for m_t, e_t in map(math.frexp, ts):
+            for m_t, e_t in map(math.frexp, prices):
                 yield [_ldexp(m / m_t, e - e_t) for m, e in kx]
 
     def to_dict(self) -> dict:

@@ -5,7 +5,9 @@ Both expose the same surface-evaluation contract as the market surface
 all three interchangeably. Each closed form is its float expression
 evaluated as if the exponent range had no limit: where an intermediate
 is not normal, the same operations run on the ``math.frexp`` mantissas
-(the mantissa route), and the exponents are put back once.
+(the mantissa route), and the exponents are put back once. ``rows`` is
+where each surface states its domain: it checks each row before it
+computes it, and raises ``DomainError`` at the first point outside.
 """
 
 from __future__ import annotations
@@ -31,6 +33,19 @@ def _abs_range(xs: list[float]) -> tuple[float, float]:
     """The smallest and largest nonzero ``|x|`` over ``xs``, zero where there is none."""
     magnitudes = [abs(x) for x in xs if x]
     return (min(magnitudes), max(magnitudes)) if magnitudes else (0.0, 0.0)
+
+
+def _outside(x: float, t: float, reason: str) -> DomainError:
+    """The error for the point ``(x, t)``, outside a surface's domain for ``reason``."""
+    return DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {reason}")
+
+
+def _positive(xs: list[float], ts: list[float], what: str) -> Iterator[float]:
+    """``ts``, each checked when it is read: a ``t <= 0`` raises at ``(xs[0], t)``, unless ``xs`` is empty."""
+    for t in ts:
+        if t <= 0 and xs:
+            raise _outside(xs[0], t, f"{what} must be positive, got {t}")
+        yield t
 
 
 def _ldexp(m: float, e: int) -> float:
@@ -59,21 +74,22 @@ class IdealGasEoS(Record):
 
     def y_of(self, x: float, t: float) -> float:
         """Pressure at volume x and temperature t."""
-        if t <= 0:
-            raise DomainError(f"temperature must be positive, got {t}")
-        if x <= 0:
-            raise DomainError(f"volume must be positive, got {x}")
         return next(self.rows([x], [t]))[0]
 
     def rows(self, xs: list[float], ts: list[float]) -> Iterator[list[float]]:
-        """Per t, the pressures ``n*R*t / x`` over ``xs``; the caller checks the domain.
+        """Per t, the pressures ``n*R*t / x`` over ``xs``.
 
-        ``n*R`` is computed once and ``n*R*t`` once per row; a row where
-        either is not normal takes the mantissa route.
+        A ``t <= 0`` raises ``DomainError`` at ``(xs[0], t)``, and the
+        first row whose t passes raises at the first ``x <= 0``. ``n*R``
+        is computed once and ``n*R*t`` once per row; a row where either
+        is not normal takes the mantissa route.
         """
         nr = self.n * self.R
         nr_normal = _normal(nr)
-        for t in ts:
+        nonpositive = next((x for x in xs if x <= 0), None)
+        for t in _positive(xs, ts, "temperature"):
+            if nonpositive is not None:
+                raise _outside(nonpositive, t, f"volume must be positive, got {nonpositive}")
             c = nr * t
             if nr_normal and _normal(c):
                 yield [c / x for x in xs]
@@ -105,22 +121,20 @@ class CurieParamagnetEoS(Record):
 
     def y_of(self, x: float, t: float) -> float:
         """Magnetization at applied field x and temperature t."""
-        if t <= 0:
-            raise DomainError(f"temperature must be positive, got {t}")
         return next(self.rows([x], [t]))[0]
 
     def rows(self, xs: list[float], ts: list[float]) -> Iterator[list[float]]:
-        """Per t, the magnetizations ``(D/mu0) * (x/t)`` over ``xs``; the caller checks the domain.
+        """Per t, the magnetizations ``(D/mu0) * (x/t)`` over ``xs``.
 
-        ``D/mu0`` is computed once; a row takes the mantissa route unless
-        it and ``x/t`` at the smallest and largest nonzero ``|x|`` are
-        normal, which makes every nonzero ``x/t`` of the row normal (t is
-        positive in the domain; elsewhere the mantissa route is taken).
+        A ``t <= 0`` raises ``DomainError`` at ``(xs[0], t)``. ``D/mu0`` is
+        computed once; a row takes the mantissa route unless it and
+        ``x/t`` at the smallest and largest nonzero ``|x|`` are normal,
+        which makes every nonzero ``x/t`` of the row normal.
         """
         c = self.D / self.mu0
         c_normal = _normal(c)
         lo, hi = _abs_range(xs)
-        for t in ts:
+        for t in _positive(xs, ts, "temperature"):
             if c_normal and _DBL_MIN <= lo / t and hi / t <= _DBL_MAX:
                 yield [c * (x / t) for x in xs]
             else:

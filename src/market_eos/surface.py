@@ -7,15 +7,19 @@ market surface, the ideal gas and the Curie paramagnet.
 - ``rows(xs, ts)`` yields, per t, the list of y over ``xs``: ``n*R*t/x``,
   ``(D/mu0)*(x/t)`` or ``K*x/t``, evaluated as if the exponent range
   had no limit, so each y is within 3 (gas, magnet) or 2 (market)
-  rounding errors of the exact value wherever it is normal.
-- ``y_of(x, t)`` is ``rows`` at one point. It raises ``DomainError``
-  outside the domain, which is a condition on x and a condition on t.
+  rounding errors of the exact value wherever it is normal. It checks
+  each row's domain before computing it and raises ``DomainError`` at
+  the first point outside.
+- ``y_of(x, t)`` is ``rows`` at one point.
 
-Sampling checks the domain once per axis value, then evaluates one row
-at a time and checks each y: a non-finite y, a subnormal y, a zero y
-where x is not zero (each surface is zero exactly where x is, so that y
+Sampling checks that every axis value is finite, then takes one row at
+a time and checks each y: a non-finite y, a subnormal y, a zero y where
+x is not zero (each surface is zero exactly where x is, so that y
 underflowed), and a grid of more than ``MAX_GRID_POINTS`` points are
-rejected. Errors name the first failing point in (t, x) order.
+rejected. Every x axis is non-decreasing, so a surface's x values
+outside its domain come first in each row, and each row is checked
+before the next is computed: errors name the first failing point in
+(t, x) order, whatever the order of the t values.
 
 Sampled surfaces and iso-curve families share one row layout: the x
 axis, the t values, and one tuple of y values per t. Exports are plain
@@ -123,7 +127,7 @@ class SurfaceGrid(Record):
 
 
 class IsocurveFamily(Record):
-    """One curve per fixed t value over a shared, strictly increasing x axis.
+    """One curve per fixed t value over a shared, non-decreasing x axis.
 
     ``y_rows[j][i]`` is y at ``(x_values[i], t_values[j])``.
     """
@@ -140,59 +144,30 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _row_passes(xs: list[float], ys: list[float]) -> bool:
-    """Every y is finite and normal, or zero where its x is (each surface is zero exactly where x is).
-
-    A NaN or an infinity makes the sum non-finite, as does a sum that
-    overflows; such a row is then checked point by point. The scan for
-    small y is skipped when every y is normal and of one sign.
-    """
-    if not math.isfinite(sum(ys)):
-        return False
-    if min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN:
-        return True
-    return not any(abs(y) < _DBL_MIN and (y or x) for x, y in zip(xs, ys))
-
-
-def _first_outside(eos, points) -> tuple[int | None, DomainError | None]:
-    """Index of the first ``(x, t)`` of ``points`` outside the domain and its error, or ``(None, None)``."""
-    for i, (x, t) in enumerate(points):
-        try:
-            eos.y_of(x, t)
-        except DomainError as exc:
-            error = DomainError(f"grid point (x={x}, t={t}) outside the surface domain: {exc}")
-            error.__cause__ = exc
-            return i, error
-    return None, None
-
-
-def _checked_axes(eos, xs: list[float], ts: list[float]) -> tuple[list[float], list[float], DomainError | None]:
-    """The axes to sample, cut before the first point outside the domain, and that point's error.
+def _check_axes(xs: list[float], ts: list[float]) -> None:
+    """Raise ``DomainError`` at the first non-finite x value, then t value.
 
     Linear spacing can round past the double range between finite
-    bounds, and isocurve t values come from the caller, so each axis
-    value is checked once before sampling. The domain is a condition on
-    x and one on t: along the first row ``y_of`` meets the first x
-    outside it, and if there is none, down the first column the first t.
-    Only the points before that one are sampled, so every error names
-    the first failing point in (t, x) order.
+    bounds, and isocurve t values come from the caller.
     """
     for axis, values in (("x", xs), ("t", ts)):
         for value in values:
             if not math.isfinite(value):
                 raise DomainError(f"grid {axis} value {value} is not finite")
-    stop, outside = _first_outside(eos, zip(xs, repeat(ts[0])))
-    if outside is None:
-        stop, outside = _first_outside(eos, zip(repeat(xs[0]), ts))
-        return xs, ts[:stop], outside
-    return xs[:stop], ts[:1] if stop else [], outside
 
 
 def _checked_rows(eos, xs: list[float], ts: list[float]) -> list[tuple[float, ...]]:
-    """One tuple of checked y values per t over ``xs``, every point inside the domain."""
+    """One tuple of y values per t over ``xs``, each row checked before the next is computed.
+
+    Every y must be finite and normal, or zero where its x is (each
+    surface is zero exactly where x is). A NaN or an infinity makes the
+    sum non-finite, as does a sum that overflows; such a row is then
+    checked point by point, as is one whose y are not all normal and of
+    one sign.
+    """
     y_rows = []
     for t, ys in zip(ts, eos.rows(xs, ts)):
-        if not _row_passes(xs, ys):
+        if not (math.isfinite(sum(ys)) and (min(ys) >= _DBL_MIN or max(ys) <= -_DBL_MIN)):
             for x, y in zip(xs, ys):
                 if not math.isfinite(y):
                     raise DomainError(f"grid point (x={x}, t={t}) gives non-finite y={y}")
@@ -205,11 +180,8 @@ def _checked_rows(eos, xs: list[float], ts: list[float]) -> list[tuple[float, ..
 
 def _sample_rows(eos, xs: list[float], ts: list[float]) -> tuple[tuple[float, ...], ...]:
     """One tuple of checked y values per t, in x order; errors name the first failing point in (t, x) order."""
-    xs, ts, outside = _checked_axes(eos, xs, ts)
-    y_rows = _checked_rows(eos, xs, ts)
-    if outside is not None:
-        raise outside
-    return tuple(y_rows)
+    _check_axes(xs, ts)
+    return tuple(_checked_rows(eos, xs, ts))
 
 
 def sample_surface(eos, grid: GridSpec) -> SurfaceGrid:
@@ -415,21 +387,21 @@ def split_export(eos, grid: GridSpec, format: str) -> AbstractContextManager[Ite
     ``render_chunks(sample_surface(eos, grid), format)``, or None where
     one process exports the grid: where ``os.fork`` is missing, another
     Python thread runs or the grid has fewer than ``SPLIT_POINTS``
-    points, and where a point lies outside the domain, so that
-    ``sample_surface`` checks the points before it and names the first
-    failing one. Otherwise the call checks the axes and the domain, and
+    points. Otherwise the call checks that the axes are finite, and
     entering the context forks: this process samples and checks rows
     ``[:n//2]`` while a child does rows ``[n//2:]`` (``split.forked``).
     Entering returns only once both halves have passed their check, and
-    this process's error comes first, as its rows do. The child's error
+    this process's error comes first, as its rows do, so the error is
+    that of one process. The t values are non-decreasing, so the first
+    point outside the domain lies in this process's half. The child's error
     comes as a pickled report, and its rows once it has exited 0.
     """
     xs, ts = grid.x_values(), grid.t_values()
     threading = sys.modules.get("threading")  # never imported: no other Python thread was started
     if (len(xs) * len(ts) < SPLIT_POINTS or not hasattr(os, "fork")
-            or (threading is not None and threading.active_count() > 1)
-            or _checked_axes(eos, xs, ts)[2] is not None):
+            or (threading is not None and threading.active_count() > 1)):
         return nullcontext()
+    _check_axes(xs, ts)
     from .split import forked
 
     return forked(eos, xs, ts, _layout(format, xs, eos.axis_labels()))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -573,25 +574,25 @@ def test_an_out_path_that_cannot_be_opened_exits_4_with_the_child_reaped(split_c
 
 
 # The credit market's surface (K = 1) over a Q_s axis whose point 100, -4.97342764e-316, is subnormal: its demand
-# underflows there. At prices from 1e10 the demand at the first point, -1e-310, underflows before it. Both grids lie
-# inside the market's domain, so both are split; the gas's domain leaves out the first volume, -1e-300.
+# underflows there. At prices from 1e10 the demand at the first point, -1e-310, underflows before it. The gas's
+# domain leaves out the first volume, -1e-300, and the magnet's the temperatures of the first 128 rows, from -1.
 SUBNORMAL_X = dict(x_min=-1e-300, x_max=1.5499999999999985e-300, nx=256, t_min=1.0, t_max=2.0, nt=256)
 
 
 @needs_fork
-@pytest.mark.parametrize("name, grid, first_failing, n_forks", [
-    ("credit", SUBNORMAL_X, "(x=-4.97342764e-316, t=1.0) underflows", 1),
-    ("credit", dict(SUBNORMAL_X, t_min=1e10, t_max=2e10), "(x=-1e-300, t=10000000000.0) underflows", 1),
-    ("gas", SUBNORMAL_X, "(x=-1e-300, t=1.0) outside the surface domain", 0),
+@pytest.mark.parametrize("name, grid, first_failing", [
+    ("credit", SUBNORMAL_X, "(x=-4.97342764e-316, t=1.0) underflows"),
+    ("credit", dict(SUBNORMAL_X, t_min=1e10, t_max=2e10), "(x=-1e-300, t=10000000000.0) underflows"),
+    ("gas", SUBNORMAL_X, "(x=-1e-300, t=1.0) outside the surface domain"),
+    ("magnet", dict(SPLIT_GRID, t_min=-1.0, t_max=1.0), "(x=1.0, t=-1.0) outside the surface domain"),
 ])
-def test_a_split_sized_grid_names_its_first_failing_point(config_path, capsys, forks, name, grid, first_failing,
-                                                         n_forks):
+def test_a_split_sized_grid_names_its_first_failing_point(config_path, capsys, forks, name, grid, first_failing):
     code, out, err = run(capsys, "surface", "--config", config_path, name, *grid_options(grid))
     cfg = load_config(config_path)
-    eos = cfg.eos_entities[name] if name == "gas" else derive_unitary_eos(cfg.markets[name])
+    eos = cfg.eos_entities[name] if name in cfg.eos_entities else derive_unitary_eos(cfg.markets[name])
     assert (code, out, err) == (3, "", one_process_error(eos, grid))
     assert f"error: grid point {first_failing}" in err
-    assert len(forks) == n_forks  # one process samples a grid with a point outside the domain
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1015,6 +1016,25 @@ def test_version_flag(capsys):
     assert "market-eos" in out
 
 
+def test_every_command_of_the_readme_cli_block_runs_and_prints_the_line_under_it(capsys, monkeypatch):
+    readme = Path(DEMO).parents[1] / "README.md"
+    monkeypatch.chdir(readme.parent)  # the block names configs/demo.json from the repository root
+    block = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    commands, compared = [], []
+    for line, following in zip(lines, lines[1:] + [""]):
+        if line.startswith("market-eos "):
+            argv = shlex.split(line, comments=True)[1:]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), line
+            commands.append(argv[0])
+            if following.startswith("# "):
+                assert out == following[2:] + "\n", line
+                compared.append(argv[0])
+    assert sorted(commands) == sorted(["solve", "consistency", "eos", "surface", "isocurves", "collapse", "zeroth"])
+    assert compared == ["solve", "collapse"]
+
+
 # ------------------------------------------------------------------ one parser for every main call in a process
 
 
@@ -1063,36 +1083,49 @@ def test_only_the_first_main_call_builds_a_parser(config_path, capsys, fresh_par
 
 # --------------------------------------------------------------------------- the CLI contract over generated inputs
 
-# Every finite double, drawn by its bit pattern: a sign, an 11-bit exponent field short of the all-ones of inf and
-# NaN, and a 52-bit fraction, so that every binary exponent is drawn alike. Magnitudes fill the fields whose sign a
-# family fixes.
-finite_doubles = st.builds(
-    lambda sign, exponent, fraction: struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | fraction))[0],
-    st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1))
+def doubles(exponents, signs=st.just(0)):
+    """Doubles drawn by bit pattern: a sign bit, an 11-bit exponent field and a 52-bit fraction."""
+    def double(sign, exponent, fraction):
+        return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | fraction))[0]
+
+    return st.builds(double, signs, exponents, st.integers(0, 2**52 - 1))
+
+
+# Every finite double: an exponent field short of the all-ones of inf and NaN, so that every binary exponent is drawn
+# alike. Magnitudes fill the fields whose sign a family fixes.
+finite_doubles = doubles(st.integers(0, 2046), st.integers(0, 1))
 magnitudes = finite_doubles.map(abs)
 value_lists = st.lists(st.one_of(magnitudes, finite_doubles), min_size=1, max_size=3).map(
     lambda values: ",".join(map(repr, values)))
+# Magnitudes in [2**-100, 2**101). Where every constant, grid bound and t value is one, each exact y of the three
+# surfaces lies in [2**-800, 2**403] (K = sqrt(k_s / (k_d * N)) is above 2**-599 for N up to 1e300), inside
+# [2 * DBL_MIN, DBL_MAX / 2], so that the export must succeed.
+mid_magnitudes = doubles(st.integers(1023 - 100, 1023 + 100))
+# Drawn once per generated case and read by both strategies below: whether the case is a surface or isocurves export
+# built from mid_magnitudes alone, or a command built from every finite double.
+MID_RANGE = st.shared(st.booleans(), key="contract-mid-range")
 NON_FINITE_TOKEN = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
 
 
 @st.composite
 def contract_configs(draw) -> dict:
     """Two markets, both surfaces, a positive grid and a quantum, every coefficient and bound a generated double."""
+    values = mid_magnitudes if draw(MID_RANGE) else magnitudes
     households = draw(st.one_of(st.integers(1, 10**300), st.floats(1.0, 1e300).map(lambda n: float(math.floor(n)))))
-    x_bounds = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))
-    t_bounds = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))
+    x_bounds = sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
+    t_bounds = sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
     return {
         "version": "1",
         "quantum": draw(magnitudes),
         "markets": [
             {"name": "lin", "family": "linear", "k_s": -draw(magnitudes), "q_d0": draw(magnitudes),
              "k_d": draw(magnitudes)},
-            {"name": "uni", "family": "unitary", "k_s": draw(magnitudes), "k_d": draw(magnitudes),
+            {"name": "uni", "family": "unitary", "k_s": draw(values), "k_d": draw(values),
              "households": households, "interpretation": draw(st.sampled_from(["per-household", "aggregate"]))},
         ],
         "eos": [
-            {"name": "gas", "kind": "ideal_gas", "n": draw(magnitudes), "R": draw(magnitudes)},
-            {"name": "magnet", "kind": "paramagnet", "D": draw(magnitudes), "mu0": draw(magnitudes)},
+            {"name": "gas", "kind": "ideal_gas", "n": draw(values), "R": draw(values)},
+            {"name": "magnet", "kind": "paramagnet", "D": draw(values), "mu0": draw(values)},
         ],
         "grid": {"x_min": x_bounds[0], "x_max": x_bounds[1], "nx": draw(st.integers(2, 4)),
                  "t_min": t_bounds[0], "t_max": t_bounds[1], "nt": draw(st.integers(2, 4))},
@@ -1101,19 +1134,24 @@ def contract_configs(draw) -> dict:
 
 @st.composite
 def contract_commands(draw) -> list[str]:
-    """The arguments after ``--config`` of one command, grid bounds from every finite double."""
-    command = draw(st.sampled_from(["eos", "zeroth", "surface", "isocurves", "collapse", "consistency", "solve"]))
+    """The arguments after ``--config`` of one command, grid bounds and t values from every finite double, or of a
+    surface or isocurves export of a surface the config defines, its bounds and t values from ``mid_magnitudes``."""
+    mid_range = draw(MID_RANGE)
+    exports = ["surface", "isocurves"]
+    command = draw(st.sampled_from(exports if mid_range else
+                                   ["eos", "zeroth", *exports, "collapse", "consistency", "solve"]))
     market = draw(st.sampled_from(["lin", "uni"]))
-    name = draw(st.sampled_from(["gas", "magnet", "uni", "lin"]))
+    name = draw(st.sampled_from(["gas", "magnet", "uni"] + ["lin"] * (not mid_range)))
     fmt = ["--format", draw(st.sampled_from(["csv", "json"]))]
-    bounds = [f"--{key}={draw(finite_doubles)!r}" for key in draw(
+    bounds = [f"--{key}={draw(mid_magnitudes if mid_range else finite_doubles)!r}" for key in draw(
         st.lists(st.sampled_from(["x-min", "x-max", "t-min", "t-max"]), unique=True))]
+    t_values = st.lists(mid_magnitudes, min_size=1, max_size=3).map(lambda ts: ",".join(map(repr, ts)))
     return {
         "solve": ["solve", market, *["--json"] * draw(st.booleans())],
         "consistency": ["consistency", market],
         "eos": ["eos", market],
         "surface": ["surface", name, *fmt, *bounds],
-        "isocurves": ["isocurves", name, *fmt, f"--t-values={draw(value_lists)}",
+        "isocurves": ["isocurves", name, *fmt, f"--t-values={draw(t_values if mid_range else value_lists)}",
                       "--points", str(draw(st.integers(2, 4))), *(bound for bound in bounds if "-x-" in bound)],
         "collapse": ["collapse", market, f"--prices={draw(value_lists)}"],
         "zeroth": ["zeroth"],

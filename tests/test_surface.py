@@ -338,6 +338,67 @@ def test_domain_violation_names_offending_point():
         sample_surface(gas, grid)
 
 
+SURFACES = [IdealGasEoS(), CurieParamagnetEoS(D=2.0), UNIT_EOS]
+SURFACE_IDS = ["gas", "magnet", "market"]
+T_NAME = {IdealGasEoS: "temperature", CurieParamagnetEoS: "temperature", UnitaryEoS: "price"}
+
+
+@pytest.fixture
+def no_y_of(monkeypatch):
+    """Every surface's ``y_of`` fails the test: sampling states each domain in ``rows`` alone."""
+    for cls in T_NAME:
+        monkeypatch.setattr(cls, "y_of", lambda self, x, t: pytest.fail(f"{type(self).__name__}.y_of called"))
+
+
+@pytest.mark.parametrize("eos", SURFACES, ids=SURFACE_IDS)
+def test_sampling_calls_no_y_of(no_y_of, eos):
+    inside = GridSpec(x_min=1.0, x_max=2.0, nx=3, t_min=1.0, t_max=2.0, nt=3)
+    assert sample_surface(eos, inside).y_rows == tuple(map(tuple, eos.rows(inside.x_values(), inside.t_values())))
+    isocurves(eos, [2.0, 1.0], (1.0, 2.0), 3)
+    with pytest.raises(DomainError, match=r"^grid point \(x=1\.0, t=-1\.0\) outside the surface domain"):
+        sample_surface(eos, GridSpec(x_min=1.0, x_max=2.0, nx=3, t_min=-1.0, t_max=1.0, nt=3))
+    with pytest.raises(DomainError, match=r"^grid point \(x=1\.0, t=0\.0\) outside the surface domain"):
+        isocurves(eos, [2.0, 0.0], (1.0, 2.0), 3)
+
+
+@needs_fork
+@pytest.mark.parametrize("eos", SURFACES, ids=SURFACE_IDS)
+def test_a_split_export_calls_no_y_of(no_y_of, split_all, eos):
+    out = io.StringIO()
+    split_text(rows_grid(4), "csv", out, eos)
+    assert out.getvalue() == export(sample_surface(eos, rows_grid(4)), "csv")
+    outside = GridSpec(x_min=1.0, x_max=2.0, nx=3, t_min=-1.0, t_max=1.0, nt=4)
+    with pytest.raises(DomainError, match=r"^grid point \(x=1\.0, t=-1\.0\) outside the surface domain"):
+        split_text(outside, "csv", io.StringIO(), eos)
+    assert len(split_all) == 2
+
+
+@pytest.mark.parametrize("eos", SURFACES, ids=SURFACE_IDS)
+def test_rows_and_y_of_raise_at_the_first_t_outside_the_domain(eos):
+    xs = [-2.0, 1.0, 3.0] if not isinstance(eos, IdealGasEoS) else [1.0, 3.0]
+    rows = eos.rows(xs, [2.0, 1.0, 0.0, -1.0])
+    assert [next(rows), next(rows)] == list(eos.rows(xs, [2.0, 1.0]))
+    what = T_NAME[type(eos)]
+    with pytest.raises(DomainError, match=rf"^grid point \(x={xs[0]}, t=0\.0\) outside the surface domain: "
+                                          rf"{what} must be positive, got 0\.0$"):
+        next(rows)
+    with pytest.raises(DomainError, match=rf"^grid point \(x=0\.5, t=-3\.0\) outside the surface domain: "
+                                          rf"{what} must be positive, got -3\.0$"):
+        eos.y_of(0.5, -3.0)
+    assert eos.y_of(0.5, 3.0) == next(eos.rows([0.5], [3.0]))[0]
+    assert [list(eos.rows([], ts)) for ts in ([-1.0, 2.0], [])] == [[[], []], []]
+
+
+def test_gas_rows_raise_at_the_first_volume_outside_the_domain_in_t_then_x_order():
+    gas = IdealGasEoS()
+    with pytest.raises(DomainError, match=r"^grid point \(x=-1\.0, t=-2\.0\) outside the surface domain: "
+                                          r"temperature must be positive, got -2\.0$"):
+        next(gas.rows([-1.0, 0.0, 1.0], [-2.0, 1.0]))
+    with pytest.raises(DomainError, match=r"^grid point \(x=0\.0, t=3\.0\) outside the surface domain: "
+                                          r"volume must be positive, got 0\.0$"):
+        next(gas.rows([0.0, 1.0], [3.0, -2.0]))
+
+
 def test_grid_spec_invariants():
     with pytest.raises(InvariantError):
         GridSpec(x_min=2.0, x_max=1.0, nx=2, t_min=1.0, t_max=2.0, nt=2)
