@@ -9,7 +9,10 @@ from .curves import (
     point_elasticity,
 )
 from .eos import (
+    GAS_CONSTANT,
     ConsistencyReport,
+    CurieParamagnetEoS,
+    IdealGasEoS,
     UnitaryEoS,
     check_linear_consistency,
     derive_unitary_eos,
@@ -26,11 +29,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InvariantError,
-)
-from .reference_eos import (
-    GAS_CONSTANT,
-    CurieParamagnetEoS,
-    IdealGasEoS,
 )
 from .surface import (
     CurveCollapseReport,

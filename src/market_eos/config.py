@@ -14,10 +14,10 @@ import json
 from pathlib import Path
 
 from .curves import LinearDemand, LinearSupply, UnitaryDemand
+from .eos import CurieParamagnetEoS, IdealGasEoS
 from .equilibrium import PER_HOUSEHOLD, MarketSpec
 from .errors import ConfigError, DomainError, InvariantError
 from .record import Record, set_field
-from .reference_eos import CurieParamagnetEoS, IdealGasEoS
 from .surface import GridSpec
 from .zeroth_law import DEFAULT_QUANTUM, require_quantum
 

@@ -1,16 +1,9 @@
 """Constraint-surface sampling, iso-curve families and collapse checks.
 
-Works with any equation of state exposing the shared contract: the
-market surface, the ideal gas and the Curie paramagnet.
-
-- ``axis_labels()`` names the x, y and t axes.
-- ``rows(xs, ts)`` yields, per t, the list of y over ``xs``: ``n*R*t/x``,
-  ``(D/mu0)*(x/t)`` or ``K*x/t``, evaluated as if the exponent range
-  had no limit, so each y is within 3 (gas, magnet) or 2 (market)
-  rounding errors of the exact value wherever it is normal. It checks
-  each row's domain before computing it and raises ``DomainError`` at
-  the first point outside.
-- ``y_of(x, t)`` is ``rows`` at one point.
+Works with the three equations of state of ``market_eos.eos``, the
+market surface, the ideal gas and the Curie paramagnet, through the
+contract their base ``eos._Surface`` states: ``axis_labels()`` and
+``rows(xs, ts)``, which checks each row's domain before computing it.
 
 Sampling checks that every axis value is finite, then takes one row at
 a time and checks each y: a non-finite y, a subnormal y, a zero y where
@@ -48,11 +41,9 @@ from contextlib import AbstractContextManager, nullcontext
 from itertools import chain, repeat
 
 from .curves import UnitaryDemand
-from .equilibrium import PER_HOUSEHOLD, MarketSpec
+from .equilibrium import _DBL_MIN, PER_HOUSEHOLD, MarketSpec
 from .errors import DomainError, InvariantError
 from .record import Record, set_field
-
-_DBL_MIN = sys.float_info.min
 
 # Largest number of points a surface grid or an iso-curve family may
 # have: a 2000 x 2000 grid, whose streamed CLI surface export peaks near

@@ -240,6 +240,16 @@ def test_eos_with_an_overflowing_surface_constant_quotient(tmp_path, capsys):
     assert "K=1e+308 " in out
 
 
+def test_eos_where_only_the_clearing_quantity_overflows(tmp_path, capsys):
+    # K = sqrt(1e308 / (1e308 * 1e6)) = 0.001 is finite, while Q* = 1e308 * Pr* overflows at Pr* = 1000
+    path = tmp_path / "flood.json"
+    flood = {"name": "flood", "family": "unitary", "k_s": 1e308, "k_d": 1e308, "households": 1_000_000}
+    path.write_text(json.dumps({"version": "1", "markets": [flood]}), encoding="utf-8")
+    code, out, err = run(capsys, "eos", "--config", str(path), "flood")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nK=0.001 amplification=1000 (D/mu0 analogue)\n")
+
+
 def test_eos_rejects_linear(config_path, capsys):
     code, out, err = run(capsys, "eos", "--config", config_path, "staple")
     assert (code, out) == (3, "")

@@ -1,4 +1,7 @@
-"""The package's public names: a name dropped or added changes the list below."""
+"""The package's public names: a name dropped or added changes the list below. README's library examples run."""
+
+import doctest
+from pathlib import Path
 
 import market_eos
 
@@ -20,3 +23,10 @@ def test_all_is_sorted_unique_resolvable_and_the_expected_thirty_five_names():
     assert [name for name in names if not hasattr(market_eos, name)] == []
     assert len(PUBLIC_NAMES) == 35
     assert names == PUBLIC_NAMES
+
+
+def test_the_readme_library_examples_run_as_doctests():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted >= 10
+    assert result.failed == 0

@@ -1,6 +1,7 @@
 """The value types are immutable records with field-wise equality, hash, repr, to_dict, copies and pickles."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -127,10 +128,15 @@ def test_cli_start_up_imports_no_code_introspection_modules():
 def test_cli_start_up_without_site_imports_none_of_the_split_export_modules():
     # -S: a site .pth file may import these modules at start-up, which would hide an import by the package;
     # only an export large enough for two processes needs market_eos.split, tempfile (which imports shutil),
-    # signal and pickle
+    # signal and pickle. The package's own modules are pinned too, so adding or dropping one is a visible change.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     split = {"market_eos.split", "tempfile", "shutil", "signal", "pickle", "threading"}
-    probe = f"import market_eos.cli, sys; print(sorted({split!r} & set(sys.modules)))"
+    probe = ("import market_eos.cli, sys, json; "
+             f"print(json.dumps([sorted({split!r} & set(sys.modules)), "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'market_eos')]))")
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    loaded_split, package = json.loads(result.stdout)
+    assert loaded_split == []
+    assert package == ["market_eos"] + [f"market_eos.{name}" for name in (
+        "cli", "config", "curves", "eos", "equilibrium", "errors", "record", "surface", "zeroth_law")]
