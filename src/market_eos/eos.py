@@ -28,7 +28,9 @@ import math
 from collections.abc import Iterator
 
 from .curves import LinearDemand, UnitaryDemand
-from .equilibrium import _DBL_MAX, _DBL_MIN, PER_HOUSEHOLD, MarketSpec, _sqrt_quotient, clearing_price_analytic
+from .equilibrium import _DBL_MAX, _DBL_MIN, PER_HOUSEHOLD, MarketSpec, _analytic_price, _sqrt_quotient
+# clearing_price_analytic is not called here; perfbench's tracer wraps it as eos.clearing_price_analytic
+from .equilibrium import clearing_price_analytic  # noqa: F401
 from .errors import DomainError, InvariantError
 from .record import Record, set_field
 
@@ -312,7 +314,7 @@ def derive_unitary_eos(market: MarketSpec) -> UnitaryEoS:
     k = _sqrt_quotient(k_s / supply_n if supply_n >= _DBL_MIN else math.inf, k_s, k_d, n, -1)
     if k < _DBL_MIN:  # subnormal, or rounded to zero: the identity check below would pass at 0 <= 0
         raise DomainError(f"K = {k!r} is below the smallest normal double")
-    pr_star = clearing_price_analytic(market).clearing_price
+    pr_star = _analytic_price(market)
     if not (abs(k - pr_star / n) <= EOS_SELF_CHECK_REL * (pr_star / n)):
         raise InvariantError(
             f"surface constant failed its identity check: K = {k} "

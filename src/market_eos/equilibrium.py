@@ -5,7 +5,10 @@ The clearing price is found two independent ways: a closed form per
 curve-family pairing, and a plain bisection search on excess demand.
 The bisection path deliberately shares no derivative or closed-form
 code with the curve module, so it can serve as an oracle for the
-analytic path.
+analytic path. Each of its reads of excess demand is two Python calls
+with one price check: the demand curve's ``quantity``, which picks the
+family and rejects a price outside its domain, and :func:`excess_demand`
+itself, which reads supply as ``k_d * pr``.
 """
 
 from __future__ import annotations
@@ -64,12 +67,14 @@ def excess_demand(market: MarketSpec, pr: float) -> float:
 
     Unitary demand scales with the household count under the
     per-household interpretation; linear demand is already aggregate.
+    Supply is read as ``k_d * pr`` without its curve's price check: the
+    demand curve has already raised for every price that check rejects.
     """
     demand = market.demand
     q = demand.quantity(pr)
     if isinstance(demand, UnitaryDemand) and market.interpretation == PER_HOUSEHOLD:
         q = market.households * q
-    return q - market.supply.quantity(pr)
+    return q - market.supply.k_d * pr
 
 
 def _sqrt_quotient(quotient: float, k_s: float, k_d: float, n: float, n_power: int = 1) -> float:
@@ -132,7 +137,8 @@ def auto_bracket(market: MarketSpec) -> tuple[float, float, float, float]:
     ``f_lo`` and ``f_hi`` are the excess demands at the two ends. Raises
     ``BracketingError`` unless excess demand changes sign, or is zero,
     at one of them, which holds for every market whose clearing price
-    is a positive double.
+    is a positive double. Excess demand never rises with price, so a
+    returned bracket has ``f_lo >= 0 >= f_hi``.
     """
     f_lo, f_hi = excess_demand(market, _DBL_TRUE_MIN), excess_demand(market, _DBL_MAX)
     if f_lo != 0.0 and f_hi != 0.0 and (f_lo > 0.0) == (f_hi > 0.0):
@@ -163,11 +169,12 @@ def clearing_price_numeric(market: MarketSpec) -> EquilibriumPoint:
         if not lo < mid < hi:
             break
         f_mid = read(market, mid)
-        if f_mid != f_mid:  # NaN; NaN > 0.0 is False, so it would steer the search as a negative value
-            raise BracketingError(f"excess demand at {mid} is NaN: demand and supply both overflow there")
-        if (f_mid > 0.0) == (f_lo > 0.0):
+        # the bracket keeps f_lo > 0 > f_hi; NaN fails both tests, so it cannot pass as a sign
+        if f_mid > 0.0:
             lo, f_lo = mid, f_mid
-        else:
+        elif f_mid <= 0.0:
             hi, f_hi = mid, f_mid
+        else:
+            raise BracketingError(f"excess demand at {mid} is NaN: demand and supply both overflow there")
     pr_star, f_star = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     return EquilibriumPoint(pr_star, market.supply.quantity(pr_star), residual=abs(f_star))

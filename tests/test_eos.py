@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import market_eos.eos as eos_module
 from market_eos import (
     DomainError,
-    EquilibriumPoint,
     InvariantError,
     LinearDemand,
     LinearSupply,
@@ -117,7 +116,7 @@ def test_derive_rejects_non_finite_surface_constant(monkeypatch):
     with pytest.raises(DomainError):
         derive_unitary_eos(huge)
     # the K*N identity check itself must fail when both sides are infinite
-    monkeypatch.setattr(eos_module, "clearing_price_analytic", lambda m: EquilibriumPoint(math.inf, math.inf, 0.0))
+    monkeypatch.setattr(eos_module, "_analytic_price", lambda m: math.inf)
     with pytest.raises(InvariantError, match="identity check"):
         derive_unitary_eos(huge)
 

@@ -1,6 +1,7 @@
 """Clearing solvers: closed forms, the bisection oracle, and bracketing."""
 
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -264,6 +265,80 @@ def test_bisection_stops_at_a_zero_or_beside_a_sign_change_over_all_positive_dou
             f_q != 0.0 and (f_q > 0.0) != (f_p > 0.0) and abs(f_p) <= abs(f_q)
             for f_q in (excess_demand(market, q) for q in neighbours)
         )
+
+
+def _orientation_agnostic_bisection(market):
+    """Reference oracle: the bisection that reads supply through its curve and re-derives which end is positive."""
+
+    def read(pr):
+        q = market.demand.quantity(pr)
+        if isinstance(market.demand, UnitaryDemand) and market.interpretation == "per-household":
+            q = market.households * q
+        return q - market.supply.quantity(pr)
+
+    lo, hi = math.ulp(0.0), sys.float_info.max
+    f_lo, f_hi = read(lo), read(hi)
+    if f_lo != 0.0 and f_hi != 0.0 and (f_lo > 0.0) == (f_hi > 0.0):
+        raise BracketingError(
+            f"no sign change in excess demand over the positive doubles: "
+            f"excess_demand({lo}) = {f_lo}, excess_demand({hi}) = {f_hi}"
+        )
+    while f_lo != 0.0 and f_hi != 0.0:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        f_mid = read(mid)
+        if f_mid != f_mid:
+            raise BracketingError(f"excess demand at {mid} is NaN: demand and supply both overflow there")
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    pr_star, f_star = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    return pr_star, market.supply.quantity(pr_star), abs(f_star)
+
+
+@settings(max_examples=300)
+@given(k_s=positive_doubles, q_d0=positive_doubles, k_d=positive_doubles, n=st.integers(min_value=1, max_value=2**1000),
+       linear=st.booleans(), agg=st.booleans())
+@example(k_s=1e308, q_d0=1.0, k_d=1e308, n=10**6, linear=False, agg=False)  # NaN at the midpoint 219.98...
+@example(k_s=2.926302070098786e-290, q_d0=1.5e-323, k_d=6.4533546845947005e-31, n=1, linear=True, agg=False)
+def test_bisection_returns_the_orientation_agnostic_loops_point_bit_for_bit_over_all_positive_doubles(
+        k_s, q_d0, k_d, n, linear, agg):
+    # the search steers by f_lo > 0 > f_hi alone, which auto_bracket's f_lo >= 0 >= f_hi makes true
+    # on entry; every point, and every NaN error, must be the one the oriented comparison gives
+    market = _market_over_all_doubles(k_s, q_d0, k_d, n, linear, agg)
+    try:
+        _, f_lo, _, f_hi = auto_bracket(market)
+    except BracketingError:
+        pass
+    else:
+        assert f_lo >= 0.0 >= f_hi
+    try:
+        expected = _orientation_agnostic_bisection(market)
+    except BracketingError as error:
+        with pytest.raises(BracketingError, match=f"^{re.escape(str(error))}$"):
+            clearing_price_numeric(market)
+        return
+    point = clearing_price_numeric(market)
+    got = (point.clearing_price, point.clearing_quantity, point.residual)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize(
+    ("market", "pr", "message"),
+    [
+        (LINEAR, -1.0, "price must be nonnegative, got -1.0"),
+        (UNITARY4, 0.0, "price must be positive, got 0.0"),
+        (UNITARY4, -1.0, "price must be positive, got -1.0"),
+        (UNITARY_AGG, 0.0, "price must be positive, got 0.0"),
+        (UNITARY_AGG, -1.0, "price must be positive, got -1.0"),
+    ],
+)
+def test_excess_demand_outside_the_demand_domain_raises_the_demand_curves_error(market, pr, message):
+    # supply is read without its own price check, so the demand curve's check is the one that raises
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        excess_demand(market, pr)
 
 
 def test_bisection_lands_far_from_the_closed_form_where_a_coefficient_is_subnormal():
